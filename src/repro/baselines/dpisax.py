@@ -16,6 +16,7 @@ from pyspark.sql import types as T
 from ..core.isax import pack_symbols, symbols
 from ..core.paa import paa
 from ..distributed.engine import DistResult, distributed_search
+from ..distributed.partitioning import check_n_chunks, cut_index, one_chunk_per_partition
 
 
 def dpisax_words_np(
@@ -37,6 +38,7 @@ def dpisax_partition(
     seed: int = 0,
 ) -> DataFrame:
     """Assign ``chunk_id`` by sampled iSAX-word range partitioning."""
+    check_n_chunks(n_chunks, df.count())
 
     @F.pandas_udf(T.LongType())
     def _word(series: pd.Series) -> pd.Series:
@@ -58,10 +60,8 @@ def dpisax_partition(
         float(sample[min(len(sample) - 1, int(np.ceil(len(sample) * i / n_chunks)))])
         for i in range(1, n_chunks)
     ]
-    chunk = F.lit(0).cast("long")
-    for c in cuts:
-        chunk = chunk + F.when(F.col("isax_word") >= F.lit(c), F.lit(1)).otherwise(F.lit(0))
-    return with_word.withColumn("chunk_id", chunk.cast("long")).drop("isax_word")
+    chunked = with_word.withColumn("chunk_id", cut_index(F.col("isax_word"), cuts))
+    return one_chunk_per_partition(chunked.drop("isax_word"), n_chunks)
 
 
 def dpisax_search(

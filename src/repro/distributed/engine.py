@@ -1,10 +1,15 @@
 """The Odyssey distributed search operator on Spark.
 
 The dataset is a DataFrame ``(id, series, chunk_id)`` (chunk = the data a
-replication group indexes). Query answering is a grouped scan:
+replication group indexes), laid out by the partitioners with chunk ``c``
+alone in Spark partition ``c``. Query answering is a grouped scan:
 ``groupBy(chunk_id).applyInPandas`` builds the chunk's iSAX index and
 answers the *whole query batch* against it — one "node" execution per
-chunk, run in parallel by Spark. BSF sharing is a two-pass dataflow:
+chunk. Because the layout already clusters the rows by ``chunk_id``, the
+scan adds no exchange and each chunk runs as its own Spark task, in
+parallel up to the session's cores; every result row records the
+partition and Python worker process that produced it
+(``partition_id``, ``worker_pid``). BSF sharing is a two-pass dataflow:
 
   pass 1  approximate search per chunk  →  driver reduces to a global
           per-query k-BSF seed (the paper's BSF-sharing channel)
@@ -18,11 +23,13 @@ see DESIGN.md §1 for why cross-node wall-clock is simulated from
 measured work rather than taken from local Spark timings.
 """
 import json
+import os
 import time
 from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
+from pyspark import TaskContext
 from pyspark.sql import DataFrame
 from pyspark.sql import types as T
 
@@ -53,6 +60,8 @@ RESULT_SCHEMA = T.StructType(
         T.StructField("total_cost", T.DoubleType()),
         T.StructField("thread_time", T.DoubleType()),
         T.StructField("elapsed", T.DoubleType()),
+        T.StructField("partition_id", T.LongType()),  # Spark partition of the chunk
+        T.StructField("worker_pid", T.LongType()),  # Python worker process
     ]
 )
 
@@ -103,6 +112,8 @@ def _make_worker(
             "n_leaves": index.n_leaves,
             "n_series": index.n_series,
             "build_elapsed": build_elapsed,
+            "partition_id": TaskContext.get().partitionId(),
+            "worker_pid": os.getpid(),
         }
         rows = []
         for qi in range(len(queries)):
@@ -194,10 +205,16 @@ def chunk_search(
         n_threads=n_threads,
         index_params=params,
     )
-    sdf = chunked_df.select("chunk_id", "id", "series").groupBy("chunk_id").applyInPandas(
-        fn, RESULT_SCHEMA
+    return _grouped_scan(chunked_df, fn, RESULT_SCHEMA).toPandas()
+
+
+def _grouped_scan(chunked_df: DataFrame, fn, schema: T.StructType) -> DataFrame:
+    """Run ``fn`` once per chunk, on the chunk's own Spark partition."""
+    return (
+        chunked_df.select("chunk_id", "id", "series")
+        .groupBy("chunk_id")
+        .applyInPandas(fn, schema)
     )
-    return sdf.toPandas()
 
 
 def _merge_answers(stats: pd.DataFrame, k: int) -> pd.DataFrame:
@@ -289,6 +306,8 @@ def build_only(chunked_df: DataFrame, *, index_params: dict | None = None) -> pd
             T.StructField("tree_cost", T.DoubleType()),
             T.StructField("index_bytes", T.LongType()),
             T.StructField("build_elapsed", T.DoubleType()),
+            T.StructField("partition_id", T.LongType()),
+            T.StructField("worker_pid", T.LongType()),
         ]
     )
 
@@ -307,14 +326,14 @@ def build_only(chunked_df: DataFrame, *, index_params: dict | None = None) -> pd
                     "tree_cost": index.tree_cost,
                     "index_bytes": index.index_bytes(),
                     "build_elapsed": time.perf_counter() - t0,
+                    "partition_id": TaskContext.get().partitionId(),
+                    "worker_pid": os.getpid(),
                 }
             ]
         )
 
     return (
-        chunked_df.select("chunk_id", "id", "series")
-        .groupBy("chunk_id")
-        .applyInPandas(fn, schema)
+        _grouped_scan(chunked_df, fn, schema)
         .toPandas()
         .sort_values("chunk_id")
         .reset_index(drop=True)

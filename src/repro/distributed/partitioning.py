@@ -1,17 +1,20 @@
 """Data partitioning (paper §3.4): EQUALLY-SPLIT and DENSITY-AWARE.
 
-Both take a series DataFrame ``(id, series)`` and return it with a
-``chunk_id`` column in ``[0, n_chunks)``. EQUALLY-SPLIT assigns contiguous
-ranges in storage order (optionally after random shuffling, the paper's
-"RS"). DENSITY-AWARE orders the summarization buffers by Gray code,
-stripes the λ largest buffers across all chunks series-by-series, assigns
-the remaining buffers round-robin in Gray order, and rebalances by
-striping the largest buffer of the most loaded chunk until chunk loads
-are within tolerance — so similar series end up on *different* nodes.
+Both take a series DataFrame ``(id, series)`` and return it with an INT
+``chunk_id`` column in ``[0, n_chunks)``, laid out so that chunk ``c`` is
+exactly Spark partition ``c`` (``one_chunk_per_partition``): the engine's
+grouped scan then runs every chunk as its own parallel task.
+EQUALLY-SPLIT assigns contiguous ranges in id (storage) order, optionally
+after random shuffling (the paper's "RS"). DENSITY-AWARE orders the
+summarization buffers by Gray code, stripes the λ largest buffers across
+all chunks series-by-series, assigns the remaining buffers round-robin in
+Gray order, and rebalances by striping the largest buffer of the most
+loaded chunk until chunk loads are within tolerance — so similar series
+end up on *different* nodes.
 """
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, Window
+from pyspark.sql import Column, DataFrame, Window
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
@@ -19,16 +22,65 @@ from ..core.isax import inverse_gray, pack_symbols, symbols
 from ..core.paa import paa
 
 
+def check_n_chunks(n_chunks: int, n_series: int) -> None:
+    """Driver-side check every partitioner runs before planning: each of
+    the ``n_chunks`` chunks must be able to hold at least one series."""
+    if n_chunks < 1:
+        raise ValueError(f"n_chunks must be at least 1, got {n_chunks}")
+    if n_chunks > n_series:
+        raise ValueError(
+            f"n_chunks={n_chunks} exceeds the number of series ({n_series})"
+        )
+
+
+def one_chunk_per_partition(df: DataFrame, n_chunks: int) -> DataFrame:
+    """Lay out a DataFrame with a ``chunk_id`` column so that chunk ``c``
+    is exactly Spark partition ``c``.
+
+    ``repartitionById`` places rows by the value of an INT column, so the
+    grouped scan's clustering on ``chunk_id`` is already satisfied and
+    Spark adds no second exchange. ``chunk_id`` is cast here, not in the
+    scan: a cast inside the partition expression does not match the
+    grouping column, and Spark then re-shuffles by hash. Hash partitioning
+    (``repartition(n, "chunk_id")``) can send two chunk ids to one
+    partition, range partitioning samples its bounds, and a shuffle
+    without a partition count is merged by adaptive execution. A single
+    chunk needs no shuffle at all."""
+    df = df.withColumn("chunk_id", F.col("chunk_id").cast("int"))
+    if n_chunks == 1:
+        return df.coalesce(1)
+    return df.repartitionById(n_chunks, "chunk_id")
+
+
+def cut_index(col: Column, cuts) -> Column:
+    """Number of ``cuts`` that ``col`` reaches: the chunk of a value under
+    ascending cut points."""
+    chunk = F.lit(0)
+    for c in cuts:
+        chunk = chunk + (col >= F.lit(c)).cast("int")
+    return chunk
+
+
 def equally_split(
     df: DataFrame, n_chunks: int, *, shuffle: bool = False, seed: int = 0
 ) -> DataFrame:
     """Contiguous equal chunks in id (storage) order; ``shuffle=True``
-    applies the paper's random-shuffling variant first."""
+    applies the paper's random-shuffling variant first.
+
+    The contiguous split is ``ntile(n_chunks)`` over ``id`` (ids must be
+    unique), computed once here: the driver sorts the ids and turns the
+    chunk boundaries into cut ids, so no pass re-runs a global sort."""
     if shuffle:
-        key = F.xxhash64(F.col("id"), F.lit(seed))
-        return df.withColumn("chunk_id", F.pmod(key, F.lit(n_chunks)).cast("long"))
-    w = Window.orderBy("id")
-    return df.withColumn("chunk_id", (F.ntile(n_chunks).over(w) - 1).cast("long"))
+        check_n_chunks(n_chunks, df.count())
+        chunk = F.pmod(F.xxhash64(F.col("id"), F.lit(seed)), F.lit(n_chunks))
+    else:
+        ids = np.sort(df.select("id").toPandas()["id"].to_numpy())
+        check_n_chunks(n_chunks, len(ids))
+        # as ntile: the first len % n_chunks chunks hold one series more
+        q, r = divmod(len(ids), n_chunks)
+        cuts = [int(ids[j * q + min(j, r)]) for j in range(1, n_chunks)]
+        chunk = cut_index(F.col("id"), cuts)
+    return one_chunk_per_partition(df.withColumn("chunk_id", chunk), n_chunks)
 
 
 def buffer_words_np(
@@ -114,14 +166,15 @@ def density_aware(
     reports stability across a wide λ range)."""
     df = _with_buffer_col(df, w=w, max_bits=max_bits, buffer_bits=buffer_bits)
     counts = df.groupBy("buffer").count().toPandas()
+    check_n_chunks(n_chunks, int(counts["count"].sum()))
     plan = plan_buffer_assignment(counts, n_chunks, lam=lam, tol=tol)
     spark = df.sparkSession
     plan_df = spark.createDataFrame(plan[["buffer", "chunk_id"]].rename(columns={"chunk_id": "planned"}))
     joined = df.join(plan_df, on="buffer", how="left")
     # striped buffers (planned = -1): exact round-robin inside the buffer
     win = Window.partitionBy("buffer").orderBy("id")
-    rr = F.pmod(F.row_number().over(win) - 1, F.lit(n_chunks)).cast("long")
+    rr = F.pmod(F.row_number().over(win) - 1, F.lit(n_chunks))
     out = joined.withColumn(
-        "chunk_id", F.when(F.col("planned") >= 0, F.col("planned").cast("long")).otherwise(rr)
+        "chunk_id", F.when(F.col("planned") >= 0, F.col("planned")).otherwise(rr)
     )
-    return out.drop("buffer", "planned")
+    return one_chunk_per_partition(out.drop("buffer", "planned"), n_chunks)

@@ -4,6 +4,8 @@ import json
 import numpy as np
 import pytest
 
+from repro.baselines.dpisax import dpisax_partition
+from repro.distributed import engine
 from repro.distributed.engine import build_only, chunk_search, distributed_search
 from repro.distributed.partitioning import density_aware, equally_split
 from repro.oracle import assert_equivalent
@@ -17,6 +19,13 @@ from repro.synth_data import (
 from .oracle_sql import NN_SQL, knn_sql
 
 N, L, NQ = 320, 32, 6
+
+PARTITIONERS = {
+    "equal": equally_split,
+    "equal-shuffled": lambda df, n: equally_split(df, n, shuffle=True, seed=5),
+    "density": density_aware,
+    "dpisax": dpisax_partition,
+}
 
 
 @pytest.fixture(scope="module")
@@ -154,3 +163,68 @@ def test_invalid_algorithm_rejected(setup):
     data, queries, df, *_ = setup
     with pytest.raises(ValueError):
         distributed_search(equally_split(df, 2), queries[:1], algorithm="nope")
+
+
+@pytest.mark.parametrize("n_chunks", [1, 3, 4])
+@pytest.mark.parametrize("scheme", sorted(PARTITIONERS))
+def test_chunks_run_in_distinct_partitions(setup, scheme, n_chunks):
+    """Every partitioner lays out n chunks as n Spark partitions, and the
+    grouped scan that ``chunk_search`` runs keeps them: no re-shuffle by
+    chunk id."""
+    data, queries, df, *_ = setup
+    worker = engine._make_worker(
+        queries[:1], approx_only=True, seeds=None, algorithm="odyssey",
+        distance="ed", warp=0.05, k=1, n_threads=8,
+        index_params=engine.DEFAULT_INDEX_PARAMS,
+    )
+    scan = engine._grouped_scan(
+        PARTITIONERS[scheme](df, n_chunks), worker, engine.RESULT_SCHEMA
+    )
+    stats = scan.toPandas()
+    placement = stats.groupby("chunk_id")["partition_id"].unique()
+    assert len(placement) == n_chunks
+    assert all(len(parts) == 1 for parts in placement)
+    assert len({parts[0] for parts in placement}) == n_chunks
+    assert (stats["worker_pid"] > 0).all()
+    plan = scan._jdf.queryExecution().executedPlan().toString()
+    assert "hashpartitioning(chunk_id" not in plan
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"k": 1}, {"k": 5}, {"distance": "dtw", "warp": 0.1}],
+    ids=["ed-1nn", "ed-5nn", "dtw"],
+)
+def test_parallel_and_serial_chunks_agree(setup, kwargs):
+    """Running the chunks as parallel tasks never changes an answer or a
+    work counter: compare with all four chunks in one task."""
+    data, queries, df, *_ = setup
+    q = queries[:2] if kwargs.get("distance") == "dtw" else queries
+    chunked = equally_split(df, 4)
+    parallel = distributed_search(chunked, q, **kwargs).chunk_stats
+    serial = distributed_search(chunked.coalesce(1), q, **kwargs).chunk_stats
+    assert parallel["partition_id"].nunique() == 4
+    assert serial["partition_id"].nunique() == 1
+    cols = [
+        "nn_dist", "nn_id", "topk", "leaf_lb", "series_lb",
+        "real_series", "total_cost", "pq_costs",
+    ]
+    key = ["chunk_id", "query_id"]
+    a = parallel.sort_values(key).set_index(key)[cols]
+    b = serial.sort_values(key).set_index(key)[cols]
+    assert len(a) == 4 * len(q)
+    assert a.equals(b)
+
+
+@pytest.mark.parametrize("scheme", sorted(PARTITIONERS))
+def test_zero_chunks_rejected(setup, scheme):
+    data, queries, df, *_ = setup
+    with pytest.raises(ValueError, match="at least 1"):
+        PARTITIONERS[scheme](df, 0)
+
+
+@pytest.mark.parametrize("scheme", sorted(PARTITIONERS))
+def test_more_chunks_than_series_rejected(setup, scheme):
+    data, queries, df, *_ = setup
+    with pytest.raises(ValueError, match="exceeds the number of series"):
+        PARTITIONERS[scheme](df, N + 1)

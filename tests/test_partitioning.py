@@ -2,6 +2,8 @@
 import numpy as np
 import pandas as pd
 import pytest
+from pyspark.sql import Window
+from pyspark.sql import functions as F
 
 from repro.core.isax import gray, inverse_gray
 from repro.distributed.partitioning import (
@@ -31,6 +33,20 @@ def test_equally_split_contiguous(clustered):
     # contiguous in id order and perfectly balanced
     assert np.all(np.diff(chunks) >= 0)
     assert np.bincount(chunks).tolist() == [60, 60, 60, 60]
+
+
+@pytest.mark.parametrize("n_chunks", [1, 3, 4, 7])
+def test_equally_split_matches_ntile(spark, n_chunks):
+    """The driver-computed cut ids assign every series the chunk a global
+    ``ntile`` over ``id`` gives it, with uneven chunk sizes, ids that are
+    not 0..n-1 and a storage order that is not id order."""
+    n = 241
+    ids = 7 + 3 * np.arange(n)
+    perm = np.random.default_rng(3).permutation(n)
+    df = series_df(spark, clustered_walks_np(n, 16, seed=5)[perm], ids[perm])
+    ref = df.withColumn("ref", F.ntile(n_chunks).over(Window.orderBy("id")) - 1)
+    ref = ref.select("id", "ref").toPandas().sort_values("id")["ref"].to_numpy()
+    assert (_assignment(equally_split(df, n_chunks)) == ref).all()
 
 
 def test_equally_split_shuffle_covers_and_balances(clustered):
