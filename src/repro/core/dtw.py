@@ -11,6 +11,7 @@ Each bound in the chain is a valid lower bound of the banded DTW distance
 """
 import heapq
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -70,22 +71,73 @@ def mindist_env_paa(l_hat, u_hat, p, length: int) -> np.ndarray:
     return np.sqrt(length / w * np.sum(d * d, axis=-1))
 
 
+@lru_cache(maxsize=32)
+def _band_plan(length: int, r: int):
+    """Anti-diagonal walk of the Sakoe-Chiba band for (``length``, ``r``).
+
+    Returns the 0-based band cells ``(I, J)`` ordered by anti-diagonal
+    ``s = i + j`` (1-based), and one step per diagonal ``s = 2 .. 2·length``:
+    ``(lo, hi, a, b, st_lo, st_hi)`` — the diagonal's cells are ``i`` in
+    ``[lo, hi)`` and ``sq[a:b]``, and ``[st_lo, st_hi)`` is the part of
+    diagonal ``s-3``'s range, left in the buffer diagonal ``s`` reuses, that
+    diagonal ``s`` does not overwrite. Cached: treat the result as read-only."""
+    def span(s):  # i range of diagonal s: 1 <= i, j <= length, |i - j| <= r
+        if s == 0:
+            return 0, 1  # the origin D(0, 0)
+        return max(1, s - length, -((r - s) // 2)), min(length, s - 1, (s + r) // 2) + 1
+
+    spans = [span(s) for s in range(2 * length + 1)]
+    I = np.concatenate([np.arange(*spans[s]) for s in range(2, 2 * length + 1)]) - 1
+    J = np.concatenate([s - np.arange(*spans[s]) for s in range(2, 2 * length + 1)]) - 1
+    steps = []
+    b = 0
+    for s in range(2, 2 * length + 1):
+        lo, hi = spans[s]
+        a, b = b, b + hi - lo
+        st_lo, st_hi = spans[s - 3] if s >= 3 else (0, 0)
+        steps.append((lo, hi, a, b, st_lo, min(st_hi, lo)))
+    return I, J, steps
+
+
+def dtw_batch(q: np.ndarray, rows: np.ndarray, r: int) -> np.ndarray:
+    """Exact DTW (Sakoe-Chiba band of half-width ``r``) of ``q`` against
+    every row of ``rows`` at once: (m,) distances.
+
+    The DP ``D(i, j) = (q_i - x_j)² + min(D(i-1, j), D(i, j-1), D(i-1, j-1))``
+    is walked by anti-diagonals ``s = i + j``: all three neighbours of a
+    cell lie on diagonals ``s-1`` and ``s-2``, so each diagonal is a few
+    ufunc calls over (band cells on it × rows), where the row-by-row order
+    needs a Python step per cell. Three buffers rotate over the diagonals;
+    index ``i`` of diagonal ``s`` holds ``D(i, s - i)``, ``inf`` outside
+    the band. Each cell is one addition onto an exact ``min``, so a
+    distance does not depend on which rows share the call. The squared
+    differences of all band cells are taken up front: about
+    ``length·(2r+1)·m`` doubles.
+    """
+    q = np.asarray(q, dtype=np.float64)
+    rows = np.asarray(rows, dtype=np.float64)
+    length = len(q)
+    if rows.ndim != 2 or rows.shape[1] != length:
+        raise ValueError(f"rows must be (m, {length}), got {rows.shape}")
+    if len(rows) == 0:
+        return np.empty(0)
+    I, J, steps = _band_plan(length, min(r, length))
+    sq = (q[I][:, None] - rows.T[J]) ** 2
+    p2, p1, cur = np.full((3, length + 1, len(rows)), np.inf)  # diagonals 0, 1, 2
+    p2[0] = 0.0  # D(0, 0)
+    for lo, hi, a, b, st_lo, st_hi in steps:
+        cur[st_lo:st_hi] = np.inf
+        out = cur[lo:hi]
+        np.minimum(p1[lo - 1 : hi - 1], p1[lo:hi], out)
+        np.minimum(out, p2[lo - 1 : hi - 1], out)
+        np.add(out, sq[a:b], out)
+        p2, p1, cur = p1, cur, p2
+    return np.sqrt(p1[length])
+
+
 def dtw_distance(a: np.ndarray, b: np.ndarray, r: int) -> float:
     """Exact DTW with Sakoe-Chiba band of half-width ``r`` (O(n·r))."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    n = len(a)
-    prev = np.full(n + 1, np.inf)
-    prev[0] = 0.0
-    for i in range(1, n + 1):
-        cur = np.full(n + 1, np.inf)
-        j_lo, j_hi = max(1, i - r), min(n, i + r)
-        ai = a[i - 1]
-        for j in range(j_lo, j_hi + 1):
-            d = (ai - b[j - 1]) ** 2
-            cur[j] = d + min(prev[j], prev[j - 1], cur[j - 1])
-        prev = cur
-    return float(np.sqrt(prev[n]))
+    return float(dtw_batch(a, np.asarray(b)[None], r)[0])
 
 
 def exact_search_dtw(
@@ -118,7 +170,7 @@ def exact_search_dtw(
     stats.leaf_lb = index.n_leaves
     best_leaf = int(np.argmin(leaf_lbs))
     members = index.leaves[best_leaf].members
-    approx_d = np.array([dtw_distance(q, index.data[m], r) for m in members])
+    approx_d = dtw_batch(q, index.data[members], r)
     kbsf = _KBsf(k, init_bsf)
     kbsf.offer_many(approx_d, index.ids[members])
     stats.approx_bsf = float(approx_d.min())
@@ -165,11 +217,13 @@ def exact_search_dtw(
                 keogh = lb_keogh(lo, hi, index.data[surv])
                 cost += len(surv) * index.length
                 surv = surv[keogh < kbsf.bound]
-            for m in surv:
-                d = dtw_distance(q, index.data[m], r)
+            # the survivors are fixed before the DP, so one kernel call
+            # scores them all; offered one at a time in member order, they
+            # leave the heap and every counter as per-candidate DPs would
+            for m, d in zip(surv, dtw_batch(q, index.data[surv], r)):
                 stats.real_series += 1
                 cost += dtw_unit
-                kbsf.offer(d, int(index.ids[m]))
+                kbsf.offer(float(d), int(index.ids[m]))
             stats.leaves_processed += 1
         pq_costs.append(cost)
     stats.pq_costs = pq_costs
@@ -191,6 +245,6 @@ def brute_force_dtw_nn(
 ) -> list[tuple[float, int]]:
     """Reference exact DTW k-NN by full scan (test oracle)."""
     r = warping_window(np.asarray(q).shape[-1], warp)
-    dists = np.array([dtw_distance(q, row, r) for row in np.asarray(data, float)])
+    dists = dtw_batch(q, data, r)
     order = np.lexsort((np.asarray(ids), dists))[:k]
     return [(float(dists[i]), int(ids[i])) for i in order]

@@ -1,12 +1,9 @@
 """k-NN extension (paper §4): track the k smallest best-so-far distances.
 
 :func:`repro.core.search.exact_search` already accepts ``k``; this module
-adds the brute-force reference used by tests and a thin convenience wrapper.
+adds the brute-force reference used by tests.
 """
 import numpy as np
-
-from .index import ISaxIndex
-from .search import SearchStats, exact_search
 
 
 def brute_force_knn(
@@ -18,7 +15,3 @@ def brute_force_knn(
     order = np.lexsort((np.asarray(ids), dists))[:k]
     return [(float(dists[i]), int(ids[i])) for i in order]
 
-
-def exact_knn(index: ISaxIndex, q: np.ndarray, k: int, **kwargs) -> SearchStats:
-    """Exact k-NN on a single node's index."""
-    return exact_search(index, q, k=k, **kwargs)
