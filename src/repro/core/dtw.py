@@ -9,15 +9,12 @@ answers DTW queries with a different lower-bound cascade —
 Each bound in the chain is a valid lower bound of the banded DTW distance
 (Keogh & Ratanamahatana 2005), so pruning never discards the true NN.
 """
-import heapq
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .index import ISaxIndex
-from .paa import paa
-from .search import LEAF_OVERHEAD, SearchStats, _KBsf, _traversal_makespan, list_schedule, make_batches
+from .search import LEAF_OVERHEAD, SearchStats, pq_search
 
 
 def warping_window(length: int, frac: float) -> int:
@@ -140,6 +137,46 @@ def dtw_distance(a: np.ndarray, b: np.ndarray, r: int) -> float:
     return float(dtw_batch(a, np.asarray(b)[None], r)[0])
 
 
+class _DtwMetric:
+    """Banded DTW: envelope-region leaf LB, then per leaf the envelope-PAA
+    LB, LB_Keogh and one ``dtw_batch`` call for the survivors."""
+
+    def __init__(self, index: ISaxIndex, q: np.ndarray, warp: float):
+        self.index = index
+        self.q = np.asarray(q, dtype=np.float64)
+        self.r = warping_window(index.length, warp)
+        self.lo, self.hi = envelope(self.q, self.r)
+        self.l_hat, self.u_hat = envelope_paa_bounds(self.lo, self.hi, index.w)
+        self.dtw_unit = float(index.length * (2 * self.r + 1))
+        self.leaf_lbs = mindist_env_regions(
+            self.l_hat, self.u_hat, index.leaf_lo, index.leaf_hi, index.length
+        )
+
+    def approx(self, kbsf):
+        """True DTW to the members of the leaf with the smallest bound."""
+        index = self.index
+        members = index.leaves[int(np.argmin(self.leaf_lbs))].members
+        dists = dtw_batch(self.q, index.data[members], self.r)
+        kbsf.offer_many(dists, index.ids[members])
+        cost = index.n_leaves * index.w + len(members) * self.dtw_unit
+        return float(dists.min()), len(members), cost
+
+    def refine(self, members: np.ndarray, bound: float):
+        index = self.index
+        slb = mindist_env_paa(self.l_hat, self.u_hat, index.paa[members], index.length)
+        keogh_rows = members[slb < bound]
+        keogh = lb_keogh(self.lo, self.hi, index.data[keogh_rows])
+        survivors = keogh_rows[keogh < bound]
+        dists = dtw_batch(self.q, index.data[survivors], self.r)
+        cost = (
+            LEAF_OVERHEAD
+            + len(members) * index.w
+            + len(keogh_rows) * index.length
+            + len(survivors) * self.dtw_unit
+        )
+        return dists, survivors, cost
+
+
 def exact_search_dtw(
     index: ISaxIndex,
     q: np.ndarray,
@@ -154,90 +191,10 @@ def exact_search_dtw(
     help_th: int = 2,
 ) -> SearchStats:
     """Exact DTW k-NN on one node's index, Odyssey PQ discipline."""
-    q = np.asarray(q, dtype=np.float64)
-    r = warping_window(index.length, warp)
-    lo, hi = envelope(q, r)
-    l_hat, u_hat = envelope_paa_bounds(lo, hi, index.w)
-    n_batches = n_threads if n_batches is None else n_batches
-    dtw_unit = float(index.length * (2 * r + 1))
-
-    stats = SearchStats(nn_dist=np.inf, nn_id=-1, topk=[], approx_bsf=np.inf)
-    if index.n_leaves == 0:
-        return stats
-
-    # approximate search under the DTW bound: best leaf, true DTW to members
-    leaf_lbs = mindist_env_regions(l_hat, u_hat, index.leaf_lo, index.leaf_hi, index.length)
-    stats.leaf_lb = index.n_leaves
-    best_leaf = int(np.argmin(leaf_lbs))
-    members = index.leaves[best_leaf].members
-    approx_d = dtw_batch(q, index.data[members], r)
-    kbsf = _KBsf(k, init_bsf)
-    kbsf.offer_many(approx_d, index.ids[members])
-    stats.approx_bsf = float(approx_d.min())
-    stats.real_series += len(members)
-    stats.approx_cost = index.n_leaves * index.w + len(members) * dtw_unit
-
-    batches = make_batches(index, n_batches)
-    bound = kbsf.bound
-    pqs: list[list] = []
-    batch_costs: list[float] = []
-    for leaves in batches:
-        batch_costs.append(len(leaves) * index.w)
-        current: list = []
-        for leaf_idx in leaves:
-            lb = float(leaf_lbs[leaf_idx])
-            if lb >= bound:
-                continue
-            current.append((lb, leaf_idx))
-            stats.leaves_inserted += 1
-            if pq_threshold is not None and len(current) >= pq_threshold:
-                current.sort()
-                pqs.append(current)
-                current = []
-        if current:
-            current.sort()
-            pqs.append(current)
-    stats.traversal_cost = float(sum(batch_costs))
-    stats.pq_sizes = [len(pq) for pq in pqs]
-    if sorted_pqs:
-        pqs.sort(key=lambda pq: pq[0][0])
-
-    pq_costs: list[float] = []
-    for pq in pqs:
-        cost = 0.0
-        for lb, leaf_idx in pq:
-            if lb >= kbsf.bound:
-                break
-            mem = index.leaves[leaf_idx].members
-            slb = mindist_env_paa(l_hat, u_hat, index.paa[mem], index.length)
-            stats.series_lb += len(mem)
-            cost += LEAF_OVERHEAD + len(mem) * index.w
-            surv = mem[slb < kbsf.bound]
-            if len(surv):
-                keogh = lb_keogh(lo, hi, index.data[surv])
-                cost += len(surv) * index.length
-                surv = surv[keogh < kbsf.bound]
-            # the survivors are fixed before the DP, so one kernel call
-            # scores them all; offered one at a time in member order, they
-            # leave the heap and every counter as per-candidate DPs would
-            for m, d in zip(surv, dtw_batch(q, index.data[surv], r)):
-                stats.real_series += 1
-                cost += dtw_unit
-                kbsf.offer(float(d), int(index.ids[m]))
-            stats.leaves_processed += 1
-        pq_costs.append(cost)
-    stats.pq_costs = pq_costs
-
-    topk = kbsf.topk()
-    stats.topk = topk
-    if topk:
-        stats.nn_dist, stats.nn_id = topk[0]
-    stats.thread_time = (
-        stats.approx_cost / max(1, n_threads)
-        + _traversal_makespan(batch_costs, n_threads, help_th)
-        + list_schedule(pq_costs, n_threads)
+    return pq_search(
+        index, _DtwMetric(index, q, warp), k=k, init_bsf=init_bsf, n_threads=n_threads,
+        n_batches=n_batches, pq_threshold=pq_threshold, sorted_pqs=sorted_pqs, help_th=help_th,
     )
-    return stats
 
 
 def brute_force_dtw_nn(

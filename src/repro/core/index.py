@@ -87,6 +87,8 @@ def build_index(
     ids = np.asarray(ids, dtype=np.int64)
     if data.ndim != 2 or len(ids) != len(data):
         raise ValueError("data must be (n, L) with one id per series")
+    if len(ids) == 0:
+        raise ValueError("cannot index a chunk of zero series")
     p = paa(data, w)
     s = symbols(p, max_bits)
     index = ISaxIndex(
@@ -139,13 +141,9 @@ def build_index(
                 stack.append((c2, p2, child))
     index.tree_cost = float(node_visits * w + len(ids))
 
-    if index.leaves:
-        all_prefixes = np.stack([lf.prefixes for lf in index.leaves])
-        all_cards = np.stack([lf.cards for lf in index.leaves])
-        index.leaf_lo, index.leaf_hi = region_bounds(all_prefixes, all_cards)
-    else:
-        index.leaf_lo = np.zeros((0, w))
-        index.leaf_hi = np.zeros((0, w))
+    all_prefixes = np.stack([lf.prefixes for lf in index.leaves])
+    all_cards = np.stack([lf.cards for lf in index.leaves])
+    index.leaf_lo, index.leaf_hi = region_bounds(all_prefixes, all_cards)
     return index
 
 
@@ -156,8 +154,6 @@ def approx_search(index: ISaxIndex, q: np.ndarray, q_paa: np.ndarray):
     Returns ``(bsf, nn_id, dists, member_ids, cost)`` where ``cost`` is in
     flop-ish units (used by the cost model and the schedulers' predictor).
     """
-    if index.n_leaves == 0:
-        return np.inf, -1, np.array([]), np.array([], dtype=np.int64), 0.0
     lbs = index.leaf_lower_bounds(q_paa)
     q_syms = symbols(q_paa, index.max_bits)
     rid = int(pack_bits((q_syms >> (index.max_bits - 1)) & 1))

@@ -13,11 +13,17 @@ Phases, exactly as in the paper:
    each queue's top element (Odyssey) or left in creation order (MESSI
    baseline mode, ``sorted_pqs=False``).
 4. *PQ processing*: queues are consumed in order; a queue is abandoned as
-   soon as its head's lower bound reaches the BSF; surviving leaves are
-   filtered by the per-series PAA lower bound and the remainder get real
-   (SIMD-style vectorised) Euclidean distances, updating the BSF.
+   soon as its head's lower bound reaches the BSF; surviving leaves go
+   through the distance's series-level cascade and the remainder get real
+   (vectorised) distances, updating the BSF.
 
-The function returns exact work counters and the priority-queue cost
+Only the lower bounds change between distances, so one loop
+(:func:`pq_search`) runs every distance over a small metric: its leaf
+lower bounds, its approximate search and its per-leaf cascade. For ED the
+cascade is PAA MINDIST → Euclidean distance (:class:`_EdMetric`); for DTW
+see :mod:`repro.core.dtw`.
+
+The search returns exact work counters and the priority-queue cost
 decomposition, which feed the cluster-level makespan simulator, plus a
 simulated intra-node thread time (greedy list scheduling with the paper's
 helper threshold), since physical threads on the test box are Spark's.
@@ -83,13 +89,16 @@ def _traversal_makespan(costs, n_threads: int, help_th: int) -> float:
 
 
 class _KBsf:
-    """k best-so-far distances; the pruning bound is the k-th best, capped
-    by a shared (global) bound when BSF-sharing is active."""
+    """k best-so-far (distance, id) pairs; the pruning bound is the k-th best
+    distance, capped by a shared (global) bound when BSF-sharing is active.
+
+    Entries are ordered by (distance, id), the coordinator's order, so the
+    heap keeps the same k entries whatever order they are offered in."""
 
     def __init__(self, k: int, shared_bound: float):
         self.k = k
         self.shared = float(shared_bound)
-        self._heap: list = []  # max-heap via negated distances
+        self._heap: list = []  # max-heap on (dist, id) via negated keys
         self._ids: set[int] = set()  # a series may be offered in both the
         # approximate and the PQ-processing phase; count it once
 
@@ -102,24 +111,24 @@ class _KBsf:
         if sid in self._ids:
             return
         if len(self._heap) < self.k:
-            heapq.heappush(self._heap, (-dist, sid))
+            heapq.heappush(self._heap, (-dist, -sid))
             self._ids.add(sid)
-        elif dist < -self._heap[0][0]:
-            _, evicted = heapq.heapreplace(self._heap, (-dist, sid))
-            self._ids.discard(evicted)
+        elif (dist, sid) < (-self._heap[0][0], -self._heap[0][1]):
+            _, evicted = heapq.heapreplace(self._heap, (-dist, -sid))
+            self._ids.discard(-evicted)
             self._ids.add(sid)
 
     def offer_many(self, dists: np.ndarray, sids: np.ndarray) -> None:
         if len(dists) == 0:
             return
-        for i in np.argsort(dists, kind="stable"):
+        for i in np.lexsort((sids, dists)):
             d = float(dists[i])
-            if len(self._heap) >= self.k and d >= -self._heap[0][0]:
+            if len(self._heap) >= self.k and d > -self._heap[0][0]:
                 break  # sorted ascending: nothing further can qualify
             self.offer(d, int(sids[i]))
 
     def topk(self) -> list:
-        return sorted((-d, i) for d, i in self._heap)
+        return sorted((-d, -i) for d, i in self._heap)
 
 
 def make_batches(index: ISaxIndex, n_batches: int) -> list[list[int]]:
@@ -137,43 +146,53 @@ def make_batches(index: ISaxIndex, n_batches: int) -> list[list[int]]:
     return batches or [[]]
 
 
-def exact_search(
-    index: ISaxIndex,
-    q: np.ndarray,
-    *,
-    k: int = 1,
-    init_bsf: float = np.inf,
-    n_threads: int = 8,
-    n_batches: int | None = None,
-    pq_threshold: int | None = 64,
-    sorted_pqs: bool = True,
-    help_th: int = 2,
-) -> SearchStats:
-    """Exact k-NN search on one node's index (Odyssey; MESSI baseline via
-    ``sorted_pqs=False, pq_threshold=None``)."""
-    q = np.asarray(q, dtype=np.float64)
-    q_paa = paa(q, index.w)
-    n_batches = n_threads if n_batches is None else n_batches
+class _EdMetric:
+    """Euclidean distance: leaf MINDIST, then per leaf the series-level PAA
+    MINDIST and the real distance of its survivors."""
 
-    approx_bsf, approx_nn, dists, member_ids, approx_cost = approx_search(
-        index, q, q_paa
-    )
+    def __init__(self, index: ISaxIndex, q: np.ndarray):
+        self.index = index
+        self.q = np.asarray(q, dtype=np.float64)
+        self.q_paa = paa(self.q, index.w)
+        self.leaf_lbs = index.leaf_lower_bounds(self.q_paa)
+
+    def approx(self, kbsf):
+        bsf, _, dists, member_ids, cost = approx_search(self.index, self.q, self.q_paa)
+        kbsf.offer_many(dists, member_ids)
+        # unlike DTW, ED leaves the approximate leaf out of real_series
+        # (its cost is in approx_cost); kept so the ED counters stay put
+        return bsf, 0, cost
+
+    def refine(self, members: np.ndarray, bound: float):
+        index = self.index
+        slb = mindist_paa_paa(self.q_paa, index.paa[members], index.length)
+        survivors = members[slb < bound]
+        cost = LEAF_OVERHEAD + len(members) * index.w + len(survivors) * index.length
+        if len(survivors) == 0:  # common on pruned leaves: skip the empty kernel
+            return np.empty(0), survivors, cost
+        diffs = index.data[survivors] - self.q
+        return np.sqrt(np.einsum("ij,ij->i", diffs, diffs)), survivors, cost
+
+
+def pq_search(
+    index: ISaxIndex, metric, *, k: int, init_bsf: float, n_threads: int,
+    n_batches: int | None, pq_threshold: int | None, sorted_pqs: bool, help_th: int,
+) -> SearchStats:
+    """The search phases over one distance's lower-bound cascade.
+
+    ``metric`` has one lower bound per leaf (``leaf_lbs``), seeds the k-BSF
+    with ``approx(kbsf) -> (approx_bsf, real distances, cost)`` and scores
+    a leaf with ``refine(members, bound) -> (dists, scored members, cost)``.
+    """
+    n_batches = n_threads if n_batches is None else n_batches
     kbsf = _KBsf(k, init_bsf)
-    kbsf.offer_many(dists, member_ids)
+    approx_bsf, approx_real, approx_cost = metric.approx(kbsf)
     stats = SearchStats(
-        nn_dist=np.inf,
-        nn_id=-1,
-        topk=[],
-        approx_bsf=approx_bsf,
-        approx_cost=approx_cost,
+        nn_dist=np.inf, nn_id=-1, topk=[], approx_bsf=approx_bsf,
+        leaf_lb=index.n_leaves, real_series=approx_real, approx_cost=approx_cost,
     )
-    if index.n_leaves == 0:
-        stats.thread_time = approx_cost / max(1, n_threads)
-        return stats
 
     # --- tree traversal phase: build the priority queues per RS-batch ---
-    all_lbs = index.leaf_lower_bounds(q_paa)
-    stats.leaf_lb = index.n_leaves
     batches = make_batches(index, n_batches)
     bound = kbsf.bound
     pqs: list[list] = []  # each: sorted [(lb, leaf_idx)]
@@ -182,7 +201,7 @@ def exact_search(
         batch_costs.append(len(leaves) * index.w)
         current: list = []
         for leaf_idx in leaves:
-            lb = float(all_lbs[leaf_idx])
+            lb = float(metric.leaf_lbs[leaf_idx])
             if lb >= bound:
                 continue
             current.append((lb, leaf_idx))
@@ -202,39 +221,45 @@ def exact_search(
         pqs.sort(key=lambda pq: pq[0][0])
 
     # --- PQ processing ---
-    pq_costs: list[float] = []
     for pq in pqs:
         cost = 0.0
         for lb, leaf_idx in pq:
             if lb >= kbsf.bound:
                 break  # queue sorted by lb: the rest is pruned too
             members = index.leaves[leaf_idx].members
-            slb = mindist_paa_paa(q_paa, index.paa[members], index.length)
+            dists, scored, leaf_cost = metric.refine(members, kbsf.bound)
+            kbsf.offer_many(dists, index.ids[scored])
             stats.series_lb += len(members)
-            cost += LEAF_OVERHEAD + len(members) * index.w
-            survivors = members[slb < kbsf.bound]
-            if len(survivors) == 0:
-                stats.leaves_processed += 1
-                continue
-            diffs = index.data[survivors] - q
-            real = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
-            stats.real_series += len(survivors)
-            cost += len(survivors) * index.length
-            kbsf.offer_many(real, index.ids[survivors])
+            stats.real_series += len(scored)
             stats.leaves_processed += 1
-        pq_costs.append(cost)
-    stats.pq_costs = pq_costs
+            cost += leaf_cost
+        stats.pq_costs.append(cost)
 
-    topk = kbsf.topk()
-    stats.topk = topk
-    if topk:
-        stats.nn_dist, stats.nn_id = topk[0]
-    elif np.isfinite(approx_bsf):
-        # everything pruned by the shared bound; local best is the approx one
-        stats.nn_dist, stats.nn_id = approx_bsf, approx_nn
+    stats.topk = kbsf.topk()
+    stats.nn_dist, stats.nn_id = stats.topk[0]
     stats.thread_time = (
         approx_cost / max(1, n_threads)
         + _traversal_makespan(batch_costs, n_threads, help_th)
-        + list_schedule(pq_costs, n_threads)
+        + list_schedule(stats.pq_costs, n_threads)
     )
     return stats
+
+
+def exact_search(
+    index: ISaxIndex,
+    q: np.ndarray,
+    *,
+    k: int = 1,
+    init_bsf: float = np.inf,
+    n_threads: int = 8,
+    n_batches: int | None = None,
+    pq_threshold: int | None = 64,
+    sorted_pqs: bool = True,
+    help_th: int = 2,
+) -> SearchStats:
+    """Exact k-NN search on one node's index (Odyssey; MESSI baseline via
+    ``sorted_pqs=False, pq_threshold=None``)."""
+    return pq_search(
+        index, _EdMetric(index, q), k=k, init_bsf=init_bsf, n_threads=n_threads,
+        n_batches=n_batches, pq_threshold=pq_threshold, sorted_pqs=sorted_pqs, help_th=help_th,
+    )

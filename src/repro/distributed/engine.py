@@ -26,6 +26,7 @@ import json
 import os
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import pandas as pd
@@ -65,6 +66,12 @@ RESULT_SCHEMA = T.StructType(
     ]
 )
 
+#: the chunk-level part of a result row, also the whole of a ``build_only`` row
+_BUILD_FIELDS = (
+    "chunk_id", "n_series", "n_leaves", "buffer_cost", "tree_cost",
+    "index_bytes", "build_elapsed", "partition_id", "worker_pid",
+)
+
 DEFAULT_INDEX_PARAMS = {"w": 8, "max_bits": 8, "leaf_capacity": 64}
 
 
@@ -96,25 +103,15 @@ def _make_worker(
         search_kw = {"sorted_pqs": False, "pq_threshold": None}
     else:
         raise ValueError(f"unknown algorithm {algorithm!r}")
+    if distance == "ed":
+        search = exact_search
+    elif distance == "dtw":
+        search = partial(exact_search_dtw, warp=warp)
+    else:
+        raise ValueError(f"unknown distance {distance!r}")
 
     def fn(pdf: pd.DataFrame) -> pd.DataFrame:
-        chunk_id = int(pdf["chunk_id"].iloc[0])
-        data = np.stack(pdf["series"].to_numpy()).astype(np.float64)
-        ids = pdf["id"].to_numpy(dtype=np.int64)
-        t0 = time.perf_counter()
-        index = build_index(ids, data, **index_params)
-        build_elapsed = time.perf_counter() - t0
-        base = {
-            "chunk_id": chunk_id,
-            "buffer_cost": index.buffer_cost,
-            "tree_cost": index.tree_cost,
-            "index_bytes": index.index_bytes(),
-            "n_leaves": index.n_leaves,
-            "n_series": index.n_series,
-            "build_elapsed": build_elapsed,
-            "partition_id": TaskContext.get().partitionId(),
-            "worker_pid": os.getpid(),
-        }
+        index, base = _build_chunk(pdf, index_params)
         rows = []
         for qi in range(len(queries)):
             q = queries[qi]
@@ -144,17 +141,7 @@ def _make_worker(
                 )
                 continue
             seed = float(seeds[qi]) if seeds is not None else np.inf
-            if distance == "ed":
-                st = exact_search(
-                    index, q, k=k, init_bsf=seed, n_threads=n_threads, **search_kw
-                )
-            elif distance == "dtw":
-                st = exact_search_dtw(
-                    index, q, k=k, warp=warp, init_bsf=seed,
-                    n_threads=n_threads, **search_kw,
-                )
-            else:
-                raise ValueError(f"unknown distance {distance!r}")
+            st = search(index, q, k=k, init_bsf=seed, n_threads=n_threads, **search_kw)
             rows.append(
                 {
                     **base,
@@ -177,6 +164,26 @@ def _make_worker(
         return out[[f.name for f in RESULT_SCHEMA.fields]]
 
     return fn
+
+
+def _build_chunk(pdf: pd.DataFrame, index_params: dict):
+    """Build one chunk's index; returns it and the chunk's build record."""
+    data = np.stack(pdf["series"].to_numpy()).astype(np.float64)
+    ids = pdf["id"].to_numpy(dtype=np.int64)
+    t0 = time.perf_counter()
+    index = build_index(ids, data, **index_params)
+    build_elapsed = time.perf_counter() - t0
+    return index, {
+        "chunk_id": int(pdf["chunk_id"].iloc[0]),
+        "n_series": index.n_series,
+        "n_leaves": index.n_leaves,
+        "buffer_cost": index.buffer_cost,
+        "tree_cost": index.tree_cost,
+        "index_bytes": index.index_bytes(),
+        "build_elapsed": build_elapsed,
+        "partition_id": TaskContext.get().partitionId(),
+        "worker_pid": os.getpid(),
+    }
 
 
 def chunk_search(
@@ -267,8 +274,11 @@ def distributed_search(
     seeds = None
     extra_cost = None
     if share_bsf:
+        # pass 1 ignores the search arguments but checks them, so a bad one
+        # fails on the driver before any Spark job runs
         approx = chunk_search(
-            chunked_df, queries, approx_only=True, k=k,
+            chunked_df, queries, approx_only=True, algorithm=algorithm,
+            distance=distance, warp=warp, k=k,
             n_threads=n_threads, index_params=index_params,
         )
         seeds = _seeds_from_approx(approx, len(queries), k)
@@ -296,41 +306,10 @@ def distributed_search(
 def build_only(chunked_df: DataFrame, *, index_params: dict | None = None) -> pd.DataFrame:
     """Per-chunk index build statistics without answering any query."""
     params = dict(DEFAULT_INDEX_PARAMS, **(index_params or {}))
-
-    schema = T.StructType(
-        [
-            T.StructField("chunk_id", T.LongType()),
-            T.StructField("n_series", T.LongType()),
-            T.StructField("n_leaves", T.LongType()),
-            T.StructField("buffer_cost", T.DoubleType()),
-            T.StructField("tree_cost", T.DoubleType()),
-            T.StructField("index_bytes", T.LongType()),
-            T.StructField("build_elapsed", T.DoubleType()),
-            T.StructField("partition_id", T.LongType()),
-            T.StructField("worker_pid", T.LongType()),
-        ]
-    )
+    schema = T.StructType([RESULT_SCHEMA[name] for name in _BUILD_FIELDS])
 
     def fn(pdf: pd.DataFrame) -> pd.DataFrame:
-        data = np.stack(pdf["series"].to_numpy()).astype(np.float64)
-        ids = pdf["id"].to_numpy(dtype=np.int64)
-        t0 = time.perf_counter()
-        index = build_index(ids, data, **params)
-        return pd.DataFrame(
-            [
-                {
-                    "chunk_id": int(pdf["chunk_id"].iloc[0]),
-                    "n_series": index.n_series,
-                    "n_leaves": index.n_leaves,
-                    "buffer_cost": index.buffer_cost,
-                    "tree_cost": index.tree_cost,
-                    "index_bytes": index.index_bytes(),
-                    "build_elapsed": time.perf_counter() - t0,
-                    "partition_id": TaskContext.get().partitionId(),
-                    "worker_pid": os.getpid(),
-                }
-            ]
-        )
+        return pd.DataFrame([_build_chunk(pdf, params)[1]])
 
     return (
         _grouped_scan(chunked_df, fn, schema)

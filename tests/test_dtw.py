@@ -204,10 +204,26 @@ def test_dtw_seeded_search(setup):
     assert st.nn_dist == pytest.approx(ref_d, abs=1e-9)
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_dtw_ties_within_a_chunk_ordered_by_id(k):
+    """Series 0 stored three times, its two copies first and under the
+    largest ids: the answer follows (distance, id), not storage order."""
+    base = clustered_walks_np(48, 32, seed=17)
+    data = np.vstack([base[0], base[0], base])
+    ids = np.r_[49, 48, np.arange(48)]
+    q = base[0] + np.random.default_rng(8).normal(0, 0.05, 32)
+    index = build_index(ids, data, leaf_capacity=8)
+    st = exact_search_dtw(index, q, k=k, warp=0.1)
+    ref = brute_force_dtw_nn(data, ids, q, warp=0.1, k=k)
+    assert [i for _, i in st.topk] == [i for _, i in ref] == [0, 48][:k]
+    np.testing.assert_allclose([d for d, _ in st.topk], [d for d, _ in ref], atol=1e-12)
+
+
 # Work counters of exact_search_dtw on the module fixture, per (query,
 # run): (series_lb, real_series, leaves_processed, pq_costs, top-k ids).
-# Every run also computes the leaf LB of all 60 leaves. A change to how
-# DTW distances are computed must leave all of them as they are.
+# Every run also computes the leaf LB of all 60 leaves. ED and DTW share
+# one search loop, so a change to that loop or to how DTW distances are
+# computed must leave all of them as they are.
 _PINNED_WORK = {
     (0, "k1"): (148, 38, 30, [8584, 80, 72, 16, 0, 0, 0], [123]),
     (0, "k5"): (230, 127, 51, [23176, 928, 560, 536, 416, 72, 16], [123, 116, 105, 137, 102]),

@@ -165,6 +165,19 @@ def test_invalid_algorithm_rejected(setup):
         distributed_search(equally_split(df, 2), queries[:1], algorithm="nope")
 
 
+def test_invalid_distance_rejected_before_any_job(spark, setup):
+    data, queries, df, *_ = setup
+    chunked = equally_split(df, 2)
+    sc = spark.sparkContext
+    sc.setJobGroup("bad-distance", "unknown distance")
+    try:
+        with pytest.raises(ValueError, match="unknown distance"):
+            distributed_search(chunked, queries[:1], distance="cosine")
+        assert sc.statusTracker().getJobIdsForGroup("bad-distance") == []
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+
+
 @pytest.mark.parametrize("n_chunks", [1, 3, 4])
 @pytest.mark.parametrize("scheme", sorted(PARTITIONERS))
 def test_chunks_run_in_distinct_partitions(setup, scheme, n_chunks):

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.index import build_index
 from repro.core.knn import brute_force_knn
-from repro.core.search import exact_search, list_schedule, make_batches
+from repro.core.search import _KBsf, exact_search, list_schedule, make_batches
 from repro.synth_data import clustered_walks_np, make_queries_np, random_walk_np
 
 
@@ -167,8 +167,101 @@ def test_empty_index_search():
     assert np.isfinite(st.nn_dist)
 
 
+def test_zero_series_chunk_rejected():
+    with pytest.raises(ValueError, match="zero series"):
+        build_index(np.array([], dtype=np.int64), np.zeros((0, 32)))
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_ties_within_a_chunk_ordered_by_id(k):
+    """Series 0 stored three times, its two copies first and under the
+    largest ids: the answer follows (distance, id), not storage order."""
+    base = random_walk_np(48, 32, seed=7)
+    data = np.vstack([base[0], base[0], base])
+    ids = np.r_[49, 48, np.arange(48)]
+    q = base[0] + np.random.default_rng(8).normal(0, 0.05, 32)
+    index = build_index(ids, data, leaf_capacity=8)
+    st = exact_search(index, q, k=k)
+    ref = brute_force_knn(data, ids, q, k)
+    assert [i for _, i in st.topk] == [i for _, i in ref] == [0, 48][:k]
+    np.testing.assert_allclose([d for d, _ in st.topk], [d for d, _ in ref], atol=1e-12)
+
+
+def test_kbsf_keeps_k_smallest_in_any_order():
+    """The heap holds the k smallest (distance, id) pairs whatever the offer
+    order, one at a time or in batches, with repeat offers of a series."""
+    rng = np.random.default_rng(0)
+    for _ in range(2000):
+        n, k = int(rng.integers(1, 12)), int(rng.integers(1, 5))
+        dists = rng.integers(0, 4, n).astype(np.float64)
+        sids = rng.permutation(40)[:n]
+        expected = sorted(zip(dists.tolist(), sids.tolist()))[:k]
+        one = _KBsf(k, np.inf)
+        for i in rng.permutation(n):
+            one.offer(float(dists[i]), int(sids[i]))
+        many = _KBsf(k, np.inf)
+        cut = int(rng.integers(0, n + 1))
+        many.offer_many(dists[:cut], sids[:cut])
+        many.offer_many(dists, sids)  # the first part again, as approx members
+        assert one.topk() == many.topk() == expected
+        assert many.bound == (expected[-1][0] if len(expected) == k else np.inf)
+
+
 def test_result_independent_of_batch_count(setup):
     data, ids, index, queries = setup
     ref = exact_search(index, queries[3], n_batches=1).nn_dist
     for n in (2, 8, 64):
         assert exact_search(index, queries[3], n_batches=n).nn_dist == pytest.approx(ref)
+
+
+# Work counters of exact_search on the module fixture, per (query, run):
+# (series_lb, real_series, leaves_processed, pq_costs, top-k ids). Every run
+# also computes the leaf LB of all 58 leaves. ED and DTW share one search
+# loop, so a change to that loop or to the ED cascade must leave all of
+# them as they are.
+_PINNED_WORK = {
+    (0, "k1"): (357, 218, 31, [8760, 1976, 776, 1264, 264, 4000, 16], [97]),
+    (0, "k5"): (357, 220, 31, [8760, 1976, 776, 1264, 264, 4128, 16], [97, 1, 152, 93, 113]),
+    (0, "seeded"): (357, 218, 31, [8760, 1976, 776, 1264, 264, 4000, 16], [97]),
+    (0, "messi"): (357, 218, 31, [776, 8760, 1976, 16, 1264, 4000, 264], [97]),
+    (1, "k1"): (284, 36, 19, [2856, 1096, 88, 552, 136], [477]),
+    (1, "k5"): (284, 38, 19, [2984, 1096, 88, 552, 136], [477, 455, 470, 475, 464]),
+    (1, "seeded"): (284, 36, 19, [2856, 1096, 88, 552, 136], [477]),
+    (1, "messi"): (284, 36, 19, [88, 1096, 2856, 552, 136], [477]),
+    (2, "k1"): (53, 1, 4, [320, 200], [536]),
+    (2, "k5"): (159, 58, 16, [3896, 1056, 160, 0, 0, 0, 0, 0], [536, 538, 544, 528, 539]),
+    (2, "seeded"): (53, 1, 4, [320, 200], [536]),
+    (2, "messi"): (53, 1, 4, [200, 320], [536]),
+    (3, "k1"): (165, 58, 11, [4136, 512, 392, 80], [371]),
+    (3, "k5"): (166, 58, 12, [4152, 512, 392, 80], [371, 395, 353, 380, 389]),
+    (3, "seeded"): (165, 58, 11, [4136, 512, 392, 80], [371]),
+    (3, "messi"): (165, 58, 11, [4136, 392, 80, 512], [371]),
+    (4, "k1"): (172, 36, 21, [968, 2152, 200, 112, 368, 48], [485]),
+    (4, "k5"): (199, 39, 23, [1032, 2464, 200, 112, 416, 48, 0], [485, 503, 483, 492, 499]),
+    (4, "seeded"): (172, 36, 21, [968, 2152, 200, 112, 368, 48], [485]),
+    (4, "messi"): (172, 36, 21, [48, 368, 112, 200, 2152, 968], [485]),
+    (5, "k1"): (25, 1, 1, [272], [472]),
+    (5, "k5"): (88, 11, 6, [1256, 200], [472, 464, 467, 477, 449]),
+    (5, "seeded"): (25, 1, 1, [272], [472]),
+    (5, "messi"): (25, 1, 1, [272], [472]),
+}
+
+
+@pytest.mark.parametrize("qi,run", list(_PINNED_WORK))
+def test_ed_work_counters_pinned(setup, qi, run):
+    data, ids, index, queries = setup
+    q = queries[qi]
+    if run == "k1":
+        st = exact_search(index, q, k=1)
+    elif run == "k5":
+        st = exact_search(index, q, k=5)
+    elif run == "seeded":
+        ref_d, _ = brute_force_knn(data, ids, q, 1)[0]
+        st = exact_search(index, q, k=1, init_bsf=ref_d * 1.001)
+    else:
+        st = exact_search(index, q, sorted_pqs=False, pq_threshold=None)
+    series_lb, real_series, leaves_processed, pq_costs, topk_ids = _PINNED_WORK[qi, run]
+    assert st.leaf_lb == 58
+    assert (st.series_lb, st.real_series, st.leaves_processed) == (series_lb, real_series, leaves_processed)
+    assert st.pq_costs == pq_costs
+    assert [i for _, i in st.topk] == topk_ids
