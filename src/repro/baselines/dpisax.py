@@ -37,7 +37,10 @@ def dpisax_partition(
     sample_fraction: float = 0.2,
     seed: int = 0,
 ) -> DataFrame:
-    """Assign ``chunk_id`` by sampled iSAX-word range partitioning."""
+    """Assign ``chunk_id`` by sampled iSAX-word range partitioning.
+
+    The layout is built once and cached in the session (memory and disk),
+    so the iSAX-word UDF runs once, not per pass; ``unpersist()`` frees it."""
     check_n_chunks(n_chunks, df.count())
 
     @F.pandas_udf(T.LongType())

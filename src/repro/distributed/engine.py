@@ -2,7 +2,12 @@
 
 The dataset is a DataFrame ``(id, series, chunk_id)`` (chunk = the data a
 replication group indexes), laid out by the partitioners with chunk ``c``
-alone in Spark partition ``c``. Query answering is a grouped scan:
+alone in Spark partition ``c``. The partitioners build that layout once and
+cache it in the session, eagerly, so the scan is planned against the built
+cache and keeps its partitioning (a lazy cache makes Spark add a hash
+exchange on ``chunk_id``; ``localCheckpoint`` drops the partitioning): every
+pass and every batch reads the resident chunks and reruns neither the
+shuffle nor a partitioner's UDFs. Query answering is a grouped scan:
 ``groupBy(chunk_id).applyInPandas`` builds the chunk's iSAX index and
 answers the *whole query batch* against it — one "node" execution per
 chunk. Because the layout already clusters the rows by ``chunk_id``, the
@@ -224,6 +229,21 @@ def _grouped_scan(chunked_df: DataFrame, fn, schema: T.StructType) -> DataFrame:
     )
 
 
+def _topk_pool(stats: pd.DataFrame) -> pd.DataFrame:
+    """Every chunk's top-k entries pooled per query, one row each, sorted
+    by (query_id, nn_dist, nn_id) and ranked from 1 within the query."""
+    lists = stats["topk"].map(json.loads)
+    entries = [e for topk in lists for e in topk]
+    qid = np.repeat(stats["query_id"].to_numpy(np.int64), lists.map(len).to_numpy(np.int64))
+    dist = np.array([d for d, _ in entries], dtype=np.float64)
+    sid = np.array([i for _, i in entries], dtype=np.int64)
+    order = np.lexsort((sid, dist, qid))
+    qid, dist, sid = qid[order], dist[order], sid[order]
+    # searchsorted finds where each row's query starts in the sorted pool
+    rank = np.arange(len(qid)) - np.searchsorted(qid, qid) + 1
+    return pd.DataFrame({"query_id": qid, "rank": rank, "nn_dist": dist, "nn_id": sid})
+
+
 def _merge_answers(stats: pd.DataFrame, k: int) -> pd.DataFrame:
     """Coordinator merge: global (k-)NN across chunks' partial answers."""
     if k == 1:
@@ -231,27 +251,31 @@ def _merge_answers(stats: pd.DataFrame, k: int) -> pd.DataFrame:
             "query_id", as_index=False
         ).first()
         return best[["query_id", "nn_dist", "nn_id"]].reset_index(drop=True)
-    rows = []
-    for _, r in stats.iterrows():
-        for dist, sid in json.loads(r["topk"]):
-            rows.append((int(r["query_id"]), float(dist), int(sid)))
-    pool = pd.DataFrame(rows, columns=["query_id", "nn_dist", "nn_id"])
-    pool = pool.sort_values(["query_id", "nn_dist", "nn_id"]).groupby("query_id").head(k)
-    pool["rank"] = pool.groupby("query_id").cumcount() + 1
-    return pool[["query_id", "rank", "nn_dist", "nn_id"]].reset_index(drop=True)
+    pool = _topk_pool(stats)
+    return pool[pool["rank"] <= k].reset_index(drop=True)
 
 
 def _seeds_from_approx(approx: pd.DataFrame, n_queries: int, k: int) -> np.ndarray:
     """Global per-query k-BSF seed = k-th best pooled approximate distance."""
+    pool = _topk_pool(approx)
+    kth = pool[pool["rank"] == k]
     seeds = np.full(n_queries, np.inf)
-    for qid, grp in approx.groupby("query_id"):
-        dists: list[float] = []
-        for tk in grp["topk"]:
-            dists.extend(d for d, _ in json.loads(tk))
-        dists.sort()
-        if len(dists) >= k:
-            seeds[int(qid)] = dists[k - 1]
+    seeds[kth["query_id"].to_numpy()] = kth["nn_dist"].to_numpy()
     return seeds
+
+
+def _check_queries(queries, k: int) -> np.ndarray:
+    """Driver-side checks of a search's inputs, before any Spark job."""
+    queries = np.asarray(queries, dtype=np.float64)
+    if queries.ndim != 2 or queries.size == 0:
+        raise ValueError(
+            f"queries must be a non-empty 2-D array, got shape {queries.shape}"
+        )
+    if not np.isfinite(queries).all():
+        raise ValueError("queries must be finite (no NaN or infinity)")
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
+    return queries
 
 
 def distributed_search(
@@ -270,7 +294,7 @@ def distributed_search(
 
     ``share_bsf=False`` reproduces the DMESSI behaviour (each chunk prunes
     with its local approximate BSF only)."""
-    queries = np.asarray(queries, dtype=np.float64)
+    queries = _check_queries(queries, k)
     seeds = None
     extra_cost = None
     if share_bsf:

@@ -3,7 +3,10 @@
 Both take a series DataFrame ``(id, series)`` and return it with an INT
 ``chunk_id`` column in ``[0, n_chunks)``, laid out so that chunk ``c`` is
 exactly Spark partition ``c`` (``one_chunk_per_partition``): the engine's
-grouped scan then runs every chunk as its own parallel task.
+grouped scan then runs every chunk as its own parallel task. The returned
+layout is built once, when the partitioner returns, and cached in the
+session (memory and disk), so every search pass scans resident chunks;
+``unpersist()`` on it frees the cache.
 EQUALLY-SPLIT assigns contiguous ranges in id (storage) order, optionally
 after random shuffling (the paper's "RS"). DENSITY-AWARE orders the
 summarization buffers by Gray code, stripes the λ largest buffers across
@@ -35,7 +38,7 @@ def check_n_chunks(n_chunks: int, n_series: int) -> None:
 
 def one_chunk_per_partition(df: DataFrame, n_chunks: int) -> DataFrame:
     """Lay out a DataFrame with a ``chunk_id`` column so that chunk ``c``
-    is exactly Spark partition ``c``.
+    is exactly Spark partition ``c``, and build that layout once.
 
     ``repartitionById`` places rows by the value of an INT column, so the
     grouped scan's clustering on ``chunk_id`` is already satisfied and
@@ -45,11 +48,25 @@ def one_chunk_per_partition(df: DataFrame, n_chunks: int) -> DataFrame:
     (``repartition(n, "chunk_id")``) can send two chunk ids to one
     partition, range partitioning samples its bounds, and a shuffle
     without a partition count is merged by adaptive execution. A single
-    chunk needs no shuffle at all."""
+    chunk needs no shuffle at all.
+
+    The layout is cached in the session (``persist()``: memory and disk,
+    Spark's DataFrame default) and built here by one ``count()``, so every
+    later scan reads the resident chunks and nothing upstream of them (the
+    local scan, the shuffle, a partitioner's UDFs) runs again. The build is
+    eager because the output partitioning of an adaptive cached plan is
+    known only once the cache is built: a scan planned against a lazy
+    cache still adds a hash exchange on ``chunk_id``. ``localCheckpoint()``
+    is no substitute: it drops the partitioning altogether. The caller
+    frees the layout with ``unpersist()``."""
     df = df.withColumn("chunk_id", F.col("chunk_id").cast("int"))
     if n_chunks == 1:
-        return df.coalesce(1)
-    return df.repartitionById(n_chunks, "chunk_id")
+        df = df.coalesce(1)
+    else:
+        df = df.repartitionById(n_chunks, "chunk_id")
+    df.persist()
+    df.count()
+    return df
 
 
 def cut_index(col: Column, cuts) -> Column:
@@ -69,7 +86,8 @@ def equally_split(
 
     The contiguous split is ``ntile(n_chunks)`` over ``id`` (ids must be
     unique), computed once here: the driver sorts the ids and turns the
-    chunk boundaries into cut ids, so no pass re-runs a global sort."""
+    chunk boundaries into cut ids. The layout is built once and cached
+    in the session (memory and disk); ``unpersist()`` frees it."""
     if shuffle:
         check_n_chunks(n_chunks, df.count())
         chunk = F.pmod(F.xxhash64(F.col("id"), F.lit(seed)), F.lit(n_chunks))
@@ -163,7 +181,9 @@ def density_aware(
     """DENSITY-AWARE partitioning (paper §3.4.1, Gray-code buffer order).
 
     λ defaults to 8 at mini scale (the paper uses 400 at 100M series and
-    reports stability across a wide λ range)."""
+    reports stability across a wide λ range). The layout is built once and
+    cached in the session (memory and disk), so the buffer UDF, join and
+    window run once, not per pass; ``unpersist()`` frees it."""
     df = _with_buffer_col(df, w=w, max_bits=max_bits, buffer_bits=buffer_bits)
     counts = df.groupBy("buffer").count().toPandas()
     check_n_chunks(n_chunks, int(counts["count"].sum()))

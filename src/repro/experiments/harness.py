@@ -7,6 +7,8 @@ numbers behind the corresponding paper figure/table. Times are reported
 in mega-cost-units (1e6 flop-ish units of measured work / n_threads);
 absolute values are not comparable to the paper's seconds, shapes are.
 """
+from contextlib import contextmanager
+
 import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
@@ -37,23 +39,32 @@ def _print_table(df: pd.DataFrame, title: str) -> pd.DataFrame:
     return df
 
 
+@contextmanager
 def chunked_df(
     spark: SparkSession,
     data: np.ndarray,
     n_chunks: int,
     *,
     scheme: str = "equal",
-    shuffle: bool = False,
 ):
-    """Series DataFrame with a chunk assignment under the given scheme."""
+    """Series DataFrame with a chunk assignment under the given scheme.
+
+    The partitioners cache the layout they build; it is unpersisted when
+    the ``with`` block ends, so a sweep holds one configuration's layouts
+    at a time."""
     df = series_df(spark, data)
     if scheme == "equal":
-        return equally_split(df, n_chunks, shuffle=shuffle)
-    if scheme == "density":
-        return density_aware(df, n_chunks)
-    if scheme == "dpisax":
-        return dpisax_partition(df, n_chunks)
-    raise ValueError(f"unknown scheme {scheme!r}")
+        cdf = equally_split(df, n_chunks)
+    elif scheme == "density":
+        cdf = density_aware(df, n_chunks)
+    elif scheme == "dpisax":
+        cdf = dpisax_partition(df, n_chunks)
+    else:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    try:
+        yield cdf
+    finally:
+        cdf.unpersist()
 
 
 def fit_chunk_predictors(
@@ -147,10 +158,10 @@ def scheduling_experiment(
     data = data[:n_series]
     queries, _ = make_queries_np(data, n_queries, seed=seed)
     train_q, _ = make_queries_np(data, n_train, seed=seed + 1000)
-    cdf = chunked_df(spark, data, 1)
-    train = distributed_search(cdf, train_q, n_threads=n_threads)
+    with chunked_df(spark, data, 1) as cdf:
+        train = distributed_search(cdf, train_q, n_threads=n_threads)
+        run = distributed_search(cdf, queries, n_threads=n_threads)
     predictors = fit_chunk_predictors(train, n_threads=n_threads)
-    run = distributed_search(cdf, queries, n_threads=n_threads)
     preds = chunk_predictions(run, predictors)
     rows = []
     for n in n_nodes_list:
@@ -186,8 +197,10 @@ def query_scalability(
     data = DATASETS["random"].generate(n_series / DATASETS["random"].base_n)[:n_series]
     max_q = base_queries * max(j_list)
     queries, _ = make_queries_np(data, max_q, seed=seed)
-    full = distributed_search(chunked_df(spark, data, 1), queries, n_threads=n_threads)
-    part2 = distributed_search(chunked_df(spark, data, 2), queries, n_threads=n_threads)
+    with chunked_df(spark, data, 1) as cdf:
+        full = distributed_search(cdf, queries, n_threads=n_threads)
+    with chunked_df(spark, data, 2) as cdf:
+        part2 = distributed_search(cdf, queries, n_threads=n_threads)
     rows = []
     for j in j_list:
         n_q = base_queries * j
@@ -232,9 +245,8 @@ def datasize_scalability(
         data = DATASETS["random"].generate(n / DATASETS["random"].base_n, seed=seed + mult)[:n]
         queries, _ = make_queries_np(data, n_queries, seed=seed)
         for cfg in supported_degrees(n_nodes):
-            res = distributed_search(
-                chunked_df(spark, data, cfg.n_chunks), queries, n_threads=n_threads
-            )
+            with chunked_df(spark, data, cfg.n_chunks) as cdf:
+                res = distributed_search(cdf, queries, n_threads=n_threads)
             sim = _makespan(res, cfg, WORK_STEAL, n_threads=n_threads)
             rows.append(
                 {
@@ -261,7 +273,8 @@ def throughput(
     """WORK-STEAL throughput (queries per unit time) vs nodes, FULL."""
     data = DATASETS["random"].generate(n_series / DATASETS["random"].base_n)[:n_series]
     queries, _ = make_queries_np(data, n_queries, seed=seed)
-    res = distributed_search(chunked_df(spark, data, 1), queries, n_threads=n_threads)
+    with chunked_df(spark, data, 1) as cdf:
+        res = distributed_search(cdf, queries, n_threads=n_threads)
     rows = []
     for n in n_nodes_list:
         sim = _makespan(res, ReplicationConfig(n, 1), WORK_STEAL, n_threads=n_threads)
@@ -292,7 +305,8 @@ def index_size_table(
         data = spec.generate(sf)
         data_mb = data.astype(np.float32).nbytes / 1e6
         for cfg in supported_degrees(n_nodes):
-            stats = build_only(chunked_df(spark, data, cfg.n_chunks))
+            with chunked_df(spark, data, cfg.n_chunks) as cdf:
+                stats = build_only(cdf)
             per_chunk = dict(zip(stats["chunk_id"], stats["index_bytes"]))
             rows.append(
                 {
@@ -328,10 +342,10 @@ def replication_tradeoff(
     train_q, _ = make_queries_np(data, n_train, seed=seed + 1000)
     rows = []
     for cfg in supported_degrees(n_nodes):
-        cdf = chunked_df(spark, data, cfg.n_chunks)
-        train = distributed_search(cdf, train_q, n_threads=n_threads)
+        with chunked_df(spark, data, cfg.n_chunks) as cdf:
+            train = distributed_search(cdf, train_q, n_threads=n_threads)
+            res = distributed_search(cdf, queries, n_threads=n_threads)
         predictors = fit_chunk_predictors(train, n_threads=n_threads)
-        res = distributed_search(cdf, queries, n_threads=n_threads)
         preds = chunk_predictions(res, predictors)
         times = _index_times(res.chunk_stats, n_threads=n_threads)
         for n_q in n_queries_list:
@@ -378,20 +392,23 @@ def index_scalability(
     for mult in multipliers:  # (a)
         n = base_n * mult
         data = deep.generate(n / deep.base_n, seed=seed + mult)[:n]
-        stats = build_only(chunked_df(spark, data, 16))
+        with chunked_df(spark, data, 16) as cdf:
+            stats = build_only(cdf)
         t = (stats["buffer_cost"] + stats["tree_cost"]).max() / n_threads / UNIT
         rows.append({"sweep": "size@16nodes", "n_series": n, "n_nodes": 16, "index_time": t})
     n = base_n * max(multipliers)
     data = deep.generate(n / deep.base_n, seed=seed)[:n]
     for nodes in n_nodes_list:  # (b)
-        stats = build_only(chunked_df(spark, data, nodes))
+        with chunked_df(spark, data, nodes) as cdf:
+            stats = build_only(cdf)
         t = (stats["buffer_cost"] + stats["tree_cost"]).max() / n_threads / UNIT
         rows.append({"sweep": "nodes@fixed", "n_series": n, "n_nodes": nodes, "index_time": t})
     rnd = DATASETS["random"]
     for mult in multipliers:  # (c)
         n = base_n * mult
         data = rnd.generate(n / rnd.base_n, seed=seed + 10 + mult)[:n]
-        stats = build_only(chunked_df(spark, data, mult))
+        with chunked_df(spark, data, mult) as cdf:
+            stats = build_only(cdf)
         per = stats[["buffer_cost", "tree_cost"]].max()
         rows.append(
             {
@@ -430,10 +447,10 @@ def competitors(
     rows = []
 
     # Odyssey FULL + WORK-STEAL-PREDICT
-    cdf1 = chunked_df(spark, data, 1)
-    train = distributed_search(cdf1, train_q, n_threads=n_threads)
+    with chunked_df(spark, data, 1) as cdf:
+        train = distributed_search(cdf, train_q, n_threads=n_threads)
+        res = distributed_search(cdf, queries, n_threads=n_threads)
     predictors = fit_chunk_predictors(train, n_threads=n_threads)
-    res = distributed_search(cdf1, queries, n_threads=n_threads)
     preds = chunk_predictions(res, predictors)
     sim = _makespan(
         res, ReplicationConfig(n_nodes, 1), WORK_STEAL_PREDICT,
@@ -450,11 +467,11 @@ def competitors(
         ("DMESSI-SW-BSF", "equal", dmessi_swbsf_search, None),
         ("DPISAX", "dpisax", dpisax_search, None),
     ):
-        cdf = chunked_df(spark, data, n_nodes, scheme=scheme)
         kwargs = {"n_threads": n_threads}
         if share is not None:
             kwargs["share_bsf"] = share
-        res = fn(cdf, queries, **kwargs)
+        with chunked_df(spark, data, n_nodes, scheme=scheme) as cdf:
+            res = fn(cdf, queries, **kwargs)
         sim = _makespan(res, no_rep, STATIC, n_threads=n_threads)
         results[name] = res
         rows.append({"algorithm": name, "query_time": sim.makespan / UNIT})
@@ -486,9 +503,10 @@ def knn_experiment(
     for n in n_nodes_list:
         for cfg in supported_degrees(n):
             if cfg.n_chunks not in cache:
-                cache[cfg.n_chunks] = distributed_search(
-                    chunked_df(spark, data, cfg.n_chunks), queries, k=k, n_threads=n_threads
-                )
+                with chunked_df(spark, data, cfg.n_chunks) as cdf:
+                    cache[cfg.n_chunks] = distributed_search(
+                        cdf, queries, k=k, n_threads=n_threads
+                    )
             sim = _makespan(cache[cfg.n_chunks], cfg, WORK_STEAL, n_threads=n_threads)
             rows.append(
                 {
@@ -522,13 +540,10 @@ def dtw_experiment(
     for n in n_nodes_list:
         for cfg in supported_degrees(n):
             if cfg.n_chunks not in cache:
-                cache[cfg.n_chunks] = distributed_search(
-                    chunked_df(spark, data, cfg.n_chunks),
-                    queries,
-                    distance="dtw",
-                    warp=warp,
-                    n_threads=n_threads,
-                )
+                with chunked_df(spark, data, cfg.n_chunks) as cdf:
+                    cache[cfg.n_chunks] = distributed_search(
+                        cdf, queries, distance="dtw", warp=warp, n_threads=n_threads
+                    )
             sim = _makespan(cache[cfg.n_chunks], cfg, WORK_STEAL, n_threads=n_threads)
             rows.append(
                 {

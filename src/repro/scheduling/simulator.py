@@ -20,6 +20,7 @@ Everything is deterministic given the seed, so experiments are exactly
 reproducible. Time is in node-time cost units (cost / n_threads).
 """
 import heapq
+import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,17 +48,13 @@ class QueryWork:
 def works_from_stats(chunk_stats: pd.DataFrame, *, n_threads: int = 8) -> dict[int, list[QueryWork]]:
     """Convert engine chunk stats into per-chunk QueryWork lists
     (node-time = cost units / intra-node threads)."""
-    import json
-
+    st = chunk_stats.sort_values(["chunk_id", "query_id"])
+    serial = st["t_serial"] / n_threads
+    costs = st["pq_costs"].map(json.loads)
     out: dict[int, list[QueryWork]] = {}
-    for _, r in chunk_stats.sort_values(["chunk_id", "query_id"]).iterrows():
-        tasks = [c / n_threads for c in json.loads(r["pq_costs"])]
-        out.setdefault(int(r["chunk_id"]), []).append(
-            QueryWork(
-                query_id=int(r["query_id"]),
-                serial=float(r["t_serial"]) / n_threads,
-                tasks=tasks,
-            )
+    for chunk, qid, ser, pq in zip(st["chunk_id"], st["query_id"], serial, costs):
+        out.setdefault(int(chunk), []).append(
+            QueryWork(query_id=int(qid), serial=float(ser), tasks=[c / n_threads for c in pq])
         )
     return out
 

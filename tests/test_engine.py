@@ -2,6 +2,7 @@
 import json
 
 import numpy as np
+import pandas as pd
 import pytest
 
 from repro.baselines.dpisax import dpisax_partition
@@ -241,3 +242,149 @@ def test_more_chunks_than_series_rejected(setup, scheme):
     data, queries, df, *_ = setup
     with pytest.raises(ValueError, match="exceeds the number of series"):
         PARTITIONERS[scheme](df, N + 1)
+
+
+def _plan_above_cache(plan) -> list[str]:
+    """Node names of a physical plan down to its cache scans. Adaptive
+    plans and query stages are unwrapped; a cache scan's own cached plan
+    (an inner child, built once) is not visited."""
+    names, todo = [], [plan]
+    while todo:
+        node = todo.pop()
+        kind = node.getClass().getSimpleName()
+        if kind == "AdaptiveSparkPlanExec":
+            todo.append(node.executedPlan())
+            continue
+        if kind.endswith("QueryStageExec"):
+            todo.append(node.plan())
+            continue
+        names.append(node.nodeName())
+        children = node.children()
+        todo.extend(children.apply(i) for i in range(children.size()))
+    return names
+
+
+@pytest.mark.parametrize("n_chunks", [1, 3, 4])
+@pytest.mark.parametrize("scheme", sorted(PARTITIONERS))
+def test_grouped_scan_reads_cached_layout(spark, setup, scheme, n_chunks):
+    """The partitioners build their layout once: the grouped scan reads the
+    cache, and neither the layout's shuffle nor its local scan nor a
+    partitioner UDF runs again, before adaptive execution or after it."""
+    data, queries, *_ = setup
+    df = series_df(spark, data[1:])  # a layout no other test has cached
+    worker = engine._make_worker(
+        queries[:1], approx_only=True, seeds=None, algorithm="odyssey",
+        distance="ed", warp=0.05, k=1, n_threads=8,
+        index_params=engine.DEFAULT_INDEX_PARAMS,
+    )
+    scan = engine._grouped_scan(
+        PARTITIONERS[scheme](df, n_chunks), worker, engine.RESULT_SCHEMA
+    )
+    for run in (False, True):
+        if run:
+            assert scan.toPandas()["chunk_id"].nunique() == n_chunks
+        names = _plan_above_cache(scan._jdf.queryExecution().executedPlan())
+        assert "InMemoryTableScan" in names
+        for node in ("ArrowEvalPython", "LocalTableScan", "Exchange"):
+            assert node not in names, (node, names)
+
+
+def test_layout_is_cached_once(spark, setup):
+    """A partitioner returns a built, cached layout; unpersist frees it.
+    The same layout built again shares that cache."""
+    data, *_ = setup
+    df = series_df(spark, data[2:])  # a layout no other test has cached
+    persistent = spark.sparkContext._jsc.getPersistentRDDs
+    before = persistent().size()
+    chunked = density_aware(df, 3)
+    assert chunked.is_cached
+    assert persistent().size() == before + 1
+    again = density_aware(df, 3)
+    assert persistent().size() == before + 1
+    chunked.unpersist()
+    assert persistent().size() == before
+    assert again.select("chunk_id").distinct().count() == 3
+
+
+BAD_QUERIES = {
+    "1-d": lambda q: q[0],
+    "3-d": lambda q: q[None],
+    "no-queries": lambda q: q[:0],
+    "no-points": lambda q: q[:, :0],
+    "ragged": lambda q: [q[0], q[1, :-1]],
+    "nan": lambda q: np.where(np.arange(q.shape[1]) == 3, np.nan, q),
+    "inf": lambda q: np.where(np.arange(q.shape[1]) == 0, -np.inf, q),
+}
+
+
+@pytest.mark.parametrize(
+    "bad, k",
+    [(name, 1) for name in BAD_QUERIES] + [(None, 0), (None, -2)],
+)
+def test_bad_queries_rejected_before_any_job(spark, setup, bad, k):
+    data, queries, df, *_ = setup
+    chunked = equally_split(df, 2)
+    q = BAD_QUERIES[bad](queries[:2]) if bad else queries[:2]
+    sc = spark.sparkContext
+    group = f"bad-queries-{bad}-{k}"
+    sc.setJobGroup(group, "invalid queries or k")
+    try:
+        with pytest.raises(ValueError):
+            distributed_search(chunked, q, k=k)
+        assert sc.statusTracker().getJobIdsForGroup(group) == []
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+        chunked.unpersist()
+
+
+def _merge_reference(stats, k):
+    """The coordinator's k-NN merge as a plain loop over every entry."""
+    rows = []
+    for _, r in stats.iterrows():
+        for dist, sid in json.loads(r["topk"]):
+            rows.append((int(r["query_id"]), float(dist), int(sid)))
+    pool = pd.DataFrame(rows, columns=["query_id", "nn_dist", "nn_id"])
+    pool = pool.sort_values(["query_id", "nn_dist", "nn_id"]).groupby("query_id").head(k)
+    pool["rank"] = pool.groupby("query_id").cumcount() + 1
+    return pool[["query_id", "rank", "nn_dist", "nn_id"]].reset_index(drop=True)
+
+
+def _seeds_reference(approx, n_queries, k):
+    """The k-th best pooled distance per query, as a plain loop."""
+    seeds = np.full(n_queries, np.inf)
+    for qid, grp in approx.groupby("query_id"):
+        dists = sorted(d for tk in grp["topk"] for d, _ in json.loads(tk))
+        if len(dists) >= k:
+            seeds[int(qid)] = dists[k - 1]
+    return seeds
+
+
+def _random_stats(rng, n_chunks, n_queries, k):
+    """Per-(chunk, query) top-k lists over disjoint id ranges whose
+    distances come from a few integers, so ties across chunks are common;
+    some lists are shorter than k and some are empty."""
+    rows = []
+    for c in rng.permutation(n_chunks):
+        for q in rng.permutation(n_queries):
+            m = int(rng.integers(0 if rows else 1, k + 1))
+            ids = rng.choice(100, size=m, replace=False) + 100 * c
+            dists = rng.integers(0, 4, size=m).astype(float) / 2
+            entries = sorted(zip(dists.tolist(), ids.tolist()))
+            rows.append({"chunk_id": c, "query_id": q, "topk": json.dumps(entries)})
+    return pd.DataFrame(rows)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_vectorised_merge_and_seeds_match_loops(seed):
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(2, 7))
+    n_queries = int(rng.integers(1, 6))
+    stats = _random_stats(rng, int(rng.integers(1, 5)), n_queries, k)
+    pd.testing.assert_frame_equal(
+        engine._merge_answers(stats, k), _merge_reference(stats, k)
+    )
+    for kk in (1, k):
+        np.testing.assert_array_equal(
+            engine._seeds_from_approx(stats, n_queries, kk),
+            _seeds_reference(stats, n_queries, kk),
+        )

@@ -199,3 +199,14 @@ def test_dtw_experiment_shape(spark):
     )
     assert (df["query_time"] > 0).all()
     assert {"FULL", "EQUALLY-SPLIT"} <= set(df["strategy"])
+
+
+def test_harness_frees_its_layouts(spark):
+    """Every harness function unpersists the layouts it caches: after a
+    search sweep over all three schemes and a build sweep, the session
+    holds no more cached RDDs than before."""
+    persistent = spark.sparkContext._jsc.getPersistentRDDs
+    before = persistent().size()
+    competitors(spark, n_nodes=2, n_queries=3, n_train=4, n_series=200, seed=7)
+    index_size_table(spark, n_nodes=2, sf=0.02, datasets=("random",))
+    assert persistent().size() <= before

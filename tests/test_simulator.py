@@ -1,5 +1,8 @@
 """Makespan simulator and work-stealing protocol tests."""
+import json
+
 import numpy as np
+import pandas as pd
 import pytest
 
 from repro.distributed.replication import ReplicationConfig
@@ -113,8 +116,6 @@ def test_full_replication_uses_all_nodes():
 
 
 def test_works_from_stats_roundtrip():
-    import pandas as pd
-
     stats = pd.DataFrame(
         {
             "chunk_id": [0, 0, 1],
@@ -129,6 +130,36 @@ def test_works_from_stats_roundtrip():
     assert works[0][1].serial == pytest.approx(1.0)
     assert works[0][1].tasks == [pytest.approx(1.0)] * 2
     assert works[1][0].total == pytest.approx(5.0)
+
+
+def _works_reference(chunk_stats, n_threads):
+    """``works_from_stats`` as a plain loop over rows."""
+    out = {}
+    for _, r in chunk_stats.sort_values(["chunk_id", "query_id"]).iterrows():
+        tasks = [c / n_threads for c in json.loads(r["pq_costs"])]
+        out.setdefault(int(r["chunk_id"]), []).append(
+            QueryWork(int(r["query_id"]), float(r["t_serial"]) / n_threads, tasks)
+        )
+    return out
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_works_from_stats_matches_loop(seed):
+    rng = np.random.default_rng(seed)
+    rows = [
+        {
+            "chunk_id": c,
+            "query_id": q,
+            "t_serial": float(rng.random() * 100),
+            "pq_costs": json.dumps((rng.random(int(rng.integers(0, 6))) * 50).tolist()),
+            "topk": "[]",
+        }
+        for c in rng.permutation(int(rng.integers(1, 5)))
+        for q in rng.permutation(int(rng.integers(1, 8)))
+    ]
+    stats = pd.DataFrame(rows)
+    for n_threads in (1, 3, 8):
+        assert works_from_stats(stats, n_threads=n_threads) == _works_reference(stats, n_threads)
 
 
 def test_imbalance_metric():
