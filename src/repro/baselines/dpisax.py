@@ -39,9 +39,12 @@ def dpisax_partition(
 ) -> DataFrame:
     """Assign ``chunk_id`` by sampled iSAX-word range partitioning.
 
-    The layout is built once and cached in the session (memory and disk),
-    so the iSAX-word UDF runs once, not per pass; ``unpersist()`` frees it."""
-    check_n_chunks(n_chunks, df.count())
+    The sample is drawn on the driver with a numpy RNG seeded by ``seed``,
+    over the words in id order, so the cut points are the same however
+    Spark splits the input (Spark's ``sample`` is seeded per input
+    partition). The layout is built once and cached in the session (memory
+    and disk), so the iSAX-word UDF runs in set-up only (for the sample and
+    for the layout), not per pass; ``unpersist()`` frees it."""
 
     @F.pandas_udf(T.LongType())
     def _word(series: pd.Series) -> pd.Series:
@@ -49,15 +52,11 @@ def dpisax_partition(
         return pd.Series(dpisax_words_np(data, w=w, max_bits=max_bits, word_bits=word_bits))
 
     with_word = df.withColumn("isax_word", _word("series"))
-    sample = (
-        with_word.select("isax_word")
-        .sample(fraction=min(1.0, sample_fraction), seed=seed)
-        .toPandas()["isax_word"]
-        .to_numpy()
-    )
-    if len(sample) == 0:
-        sample = with_word.select("isax_word").toPandas()["isax_word"].to_numpy()
-    sample = np.sort(sample)
+    pairs = with_word.select("id", "isax_word").toPandas()
+    check_n_chunks(n_chunks, len(pairs))
+    words = pairs["isax_word"].to_numpy()[np.argsort(pairs["id"].to_numpy(), kind="stable")]
+    size = max(1, round(min(1.0, sample_fraction) * len(words)))
+    sample = np.sort(np.random.default_rng(seed).choice(words, size=size, replace=False))
     # n_chunks - 1 split points at equal sample mass
     cuts = [
         float(sample[min(len(sample) - 1, int(np.ceil(len(sample) * i / n_chunks)))])

@@ -7,14 +7,19 @@ cache it in the session, eagerly, so the scan is planned against the built
 cache and keeps its partitioning (a lazy cache makes Spark add a hash
 exchange on ``chunk_id``; ``localCheckpoint`` drops the partitioning): every
 pass and every batch reads the resident chunks and reruns neither the
-shuffle nor a partitioner's UDFs. Query answering is a grouped scan:
-``groupBy(chunk_id).applyInPandas`` builds the chunk's iSAX index and
-answers the *whole query batch* against it — one "node" execution per
-chunk. Because the layout already clusters the rows by ``chunk_id``, the
-scan adds no exchange and each chunk runs as its own Spark task, in
-parallel up to the session's cores; every result row records the
-partition and Python worker process that produced it
-(``partition_id``, ``worker_pid``). BSF sharing is a two-pass dataflow:
+shuffle nor a partitioner's UDFs. Query answering is a per-partition scan,
+``mapInArrow`` over the cached layout: the Python worker receives the
+partition's Arrow record batches, turns the ``series`` list column into one
+C-contiguous ``(n, L)`` float64 matrix (from the flat list values, no
+per-series objects), builds the chunk's iSAX index over it and answers the
+*whole query batch* against it — one "node" execution per chunk. The scan
+adds no sort and no exchange; each chunk runs as its own Spark task, in
+parallel up to the session's cores, and returns one Arrow record batch of
+typed columns (``topk_dist``/``topk_id``/``pq_costs`` are arrays). Every
+result row records the partition and Python worker process that produced
+it (``partition_id``, ``worker_pid``); a chunk whose rows come from more
+than one partition is rejected on the driver. BSF sharing is a two-pass
+dataflow:
 
   pass 1  approximate search per chunk  →  driver reduces to a global
           per-query k-BSF seed (the paper's BSF-sharing channel)
@@ -27,17 +32,21 @@ decomposition), which the cluster-level makespan simulator consumes —
 see DESIGN.md §1 for why cross-node wall-clock is simulated from
 measured work rather than taken from local Spark timings.
 """
-import json
 import os
+import re
 import time
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 from pyspark import TaskContext
+from pyspark.errors import PythonException
 from pyspark.sql import DataFrame
 from pyspark.sql import types as T
+from pyspark.sql.pandas.types import to_arrow_schema
 
 from ..core.dtw import exact_search_dtw
 from ..core.index import approx_search, build_index
@@ -50,7 +59,8 @@ RESULT_SCHEMA = T.StructType(
         T.StructField("query_id", T.LongType()),
         T.StructField("nn_dist", T.DoubleType()),
         T.StructField("nn_id", T.LongType()),
-        T.StructField("topk", T.StringType()),  # json [[dist, id], ...]
+        T.StructField("topk_dist", T.ArrayType(T.DoubleType())),  # ascending
+        T.StructField("topk_id", T.ArrayType(T.LongType())),  # ids of topk_dist
         T.StructField("approx_bsf", T.DoubleType()),
         T.StructField("buffer_cost", T.DoubleType()),
         T.StructField("tree_cost", T.DoubleType()),
@@ -59,7 +69,7 @@ RESULT_SCHEMA = T.StructType(
         T.StructField("n_series", T.LongType()),
         T.StructField("build_elapsed", T.DoubleType()),
         T.StructField("t_serial", T.DoubleType()),  # cost units, non-stealable
-        T.StructField("pq_costs", T.StringType()),  # json [cost, ...]
+        T.StructField("pq_costs", T.ArrayType(T.DoubleType())),  # cost per PQ
         T.StructField("leaf_lb", T.LongType()),
         T.StructField("series_lb", T.LongType()),
         T.StructField("real_series", T.LongType()),
@@ -76,6 +86,8 @@ _BUILD_FIELDS = (
     "chunk_id", "n_series", "n_leaves", "buffer_cost", "tree_cost",
     "index_bytes", "build_elapsed", "partition_id", "worker_pid",
 )
+#: the per-query part of a result row
+_QUERY_FIELDS = tuple(f.name for f in RESULT_SCHEMA.fields if f.name not in _BUILD_FIELDS)
 
 DEFAULT_INDEX_PARAMS = {"w": 8, "max_bits": 8, "leaf_capacity": 64}
 
@@ -101,7 +113,7 @@ def _make_worker(
     n_threads: int,
     index_params: dict,
 ):
-    """Build the per-chunk pandas worker (closure ships queries + seeds)."""
+    """Build the per-chunk worker (closure ships queries + seeds)."""
     if algorithm == "odyssey":
         search_kw = {"sorted_pqs": True, "pq_threshold": 64}
     elif algorithm == "messi":
@@ -115,71 +127,61 @@ def _make_worker(
     else:
         raise ValueError(f"unknown distance {distance!r}")
 
-    def fn(pdf: pd.DataFrame) -> pd.DataFrame:
-        index, base = _build_chunk(pdf, index_params)
+    def fn(chunk_id: int, ids: np.ndarray, data: np.ndarray) -> dict:
+        index, base = _build_chunk(chunk_id, ids, data, index_params)
         rows = []
-        for qi in range(len(queries)):
-            q = queries[qi]
+        for qi, q in enumerate(queries):
             t1 = time.perf_counter()
             if approx_only:
-                q_paa = paa(q, index.w)
-                bsf, nn_id, dists, member_ids, cost = approx_search(index, q, q_paa)
+                bsf, nn_id, dists, member_ids, cost = approx_search(index, q, paa(q, index.w))
                 order = np.argsort(dists)[:k]
-                topk = [[float(dists[i]), int(member_ids[i])] for i in order]
-                rows.append(
-                    {
-                        **base,
-                        "query_id": qi,
-                        "nn_dist": float(bsf),
-                        "nn_id": int(nn_id),
-                        "topk": json.dumps(topk),
-                        "approx_bsf": float(bsf),
-                        "t_serial": cost,
-                        "pq_costs": "[]",
-                        "leaf_lb": index.n_leaves,
-                        "series_lb": 0,
-                        "real_series": len(member_ids),
-                        "total_cost": cost,
-                        "thread_time": cost / max(1, n_threads),
-                        "elapsed": time.perf_counter() - t1,
-                    }
-                )
-                continue
-            seed = float(seeds[qi]) if seeds is not None else np.inf
-            st = search(index, q, k=k, init_bsf=seed, n_threads=n_threads, **search_kw)
-            rows.append(
-                {
-                    **base,
-                    "query_id": qi,
-                    "nn_dist": float(st.nn_dist),
-                    "nn_id": int(st.nn_id),
-                    "topk": json.dumps([[float(d), int(i)] for d, i in st.topk]),
-                    "approx_bsf": float(st.approx_bsf),
-                    "t_serial": st.approx_cost + st.traversal_cost,
-                    "pq_costs": json.dumps([float(c) for c in st.pq_costs]),
-                    "leaf_lb": int(st.leaf_lb),
-                    "series_lb": int(st.series_lb),
-                    "real_series": int(st.real_series),
-                    "total_cost": float(st.total_cost),
-                    "thread_time": float(st.thread_time),
-                    "elapsed": time.perf_counter() - t1,
+                row = {
+                    "nn_dist": bsf,
+                    "nn_id": nn_id,
+                    "topk_dist": dists[order],
+                    "topk_id": member_ids[order],
+                    "approx_bsf": bsf,
+                    "t_serial": cost,
+                    "pq_costs": [],
+                    "leaf_lb": index.n_leaves,
+                    "series_lb": 0,
+                    "real_series": len(member_ids),
+                    "total_cost": cost,
+                    "thread_time": cost / max(1, n_threads),
                 }
-            )
-        out = pd.DataFrame(rows)
-        return out[[f.name for f in RESULT_SCHEMA.fields]]
+            else:
+                seed = float(seeds[qi]) if seeds is not None else np.inf
+                st = search(index, q, k=k, init_bsf=seed, n_threads=n_threads, **search_kw)
+                row = {
+                    "nn_dist": st.nn_dist,
+                    "nn_id": st.nn_id,
+                    "topk_dist": [d for d, _ in st.topk],
+                    "topk_id": [i for _, i in st.topk],
+                    "approx_bsf": st.approx_bsf,
+                    "t_serial": st.approx_cost + st.traversal_cost,
+                    "pq_costs": st.pq_costs,
+                    "leaf_lb": st.leaf_lb,
+                    "series_lb": st.series_lb,
+                    "real_series": st.real_series,
+                    "total_cost": st.total_cost,
+                    "thread_time": st.thread_time,
+                }
+            rows.append({**row, "query_id": qi, "elapsed": time.perf_counter() - t1})
+        return {
+            **{name: [value] * len(rows) for name, value in base.items()},
+            **{name: [r[name] for r in rows] for name in _QUERY_FIELDS},
+        }
 
     return fn
 
 
-def _build_chunk(pdf: pd.DataFrame, index_params: dict):
+def _build_chunk(chunk_id: int, ids: np.ndarray, data: np.ndarray, index_params: dict):
     """Build one chunk's index; returns it and the chunk's build record."""
-    data = np.stack(pdf["series"].to_numpy()).astype(np.float64)
-    ids = pdf["id"].to_numpy(dtype=np.int64)
     t0 = time.perf_counter()
     index = build_index(ids, data, **index_params)
     build_elapsed = time.perf_counter() - t0
     return index, {
-        "chunk_id": int(pdf["chunk_id"].iloc[0]),
+        "chunk_id": chunk_id,
         "n_series": index.n_series,
         "n_leaves": index.n_leaves,
         "buffer_cost": index.buffer_cost,
@@ -204,7 +206,7 @@ def chunk_search(
     n_threads: int = 8,
     index_params: dict | None = None,
 ) -> pd.DataFrame:
-    """One grouped-scan pass: per-chunk index build + batch query answering."""
+    """One scan pass: per-chunk index build + batch query answering."""
     params = dict(DEFAULT_INDEX_PARAMS, **(index_params or {}))
     fn = _make_worker(
         np.asarray(queries, dtype=np.float64),
@@ -217,26 +219,100 @@ def chunk_search(
         n_threads=n_threads,
         index_params=params,
     )
-    return _grouped_scan(chunked_df, fn, RESULT_SCHEMA).toPandas()
+    return _collect(_chunk_scan(chunked_df, fn, RESULT_SCHEMA))
 
 
-def _grouped_scan(chunked_df: DataFrame, fn, schema: T.StructType) -> DataFrame:
-    """Run ``fn`` once per chunk, on the chunk's own Spark partition."""
-    return (
-        chunked_df.select("chunk_id", "id", "series")
-        .groupBy("chunk_id")
-        .applyInPandas(fn, schema)
-    )
+def _chunk_scan(chunked_df: DataFrame, fn, schema: T.StructType) -> DataFrame:
+    """Run ``fn(chunk_id, ids, data)`` once per chunk, in the Spark
+    partition that holds the chunk; each dict of columns it returns
+    becomes one Arrow record batch of ``schema``."""
+    arrow_schema = to_arrow_schema(schema)
+
+    def scan(batches):
+        for chunk_id, ids, data in _chunks(batches):
+            yield pa.RecordBatch.from_pydict(fn(chunk_id, ids, data), schema=arrow_schema)
+
+    return chunked_df.select("chunk_id", "id", "series").mapInArrow(scan, schema)
+
+
+def _chunks(batches):
+    """The chunks in one partition's ``(chunk_id, id, series)`` record
+    batches: ``(chunk_id, ids, data)`` per chunk id, rows in arrival order,
+    ``data`` one C-contiguous ``(n, L)`` float64 matrix made from the flat
+    list values (``ListArray.flatten`` respects a slice's offsets), a view
+    when the chunk's rows arrive as one run. Raises ``ValueError`` naming
+    the chunk when its series are empty, differ in length or are not
+    finite."""
+    batches = [b for b in batches if b.num_rows]
+    if not batches:
+        return
+    series = [b.column("series") for b in batches]
+    chunk_ids = np.concatenate([b.column("chunk_id").to_numpy() for b in batches])
+    ids = np.concatenate([b.column("id").to_numpy() for b in batches]).astype(np.int64, copy=False)
+    # a null series counts as length 0; flatten() skips it
+    lengths = np.concatenate([s.value_lengths().fill_null(0).to_numpy() for s in series])
+    values = np.concatenate(
+        [s.flatten().to_numpy(zero_copy_only=False) for s in series]
+    ).astype(np.float64, copy=False)
+    del batches, series
+    starts = np.cumsum(lengths) - lengths
+    order = np.argsort(chunk_ids, kind="stable")
+    for rows in np.split(order, np.flatnonzero(np.diff(chunk_ids[order])) + 1):
+        chunk_id = int(chunk_ids[rows[0]])
+        length = int(lengths[rows[0]])
+        if length == 0 or (lengths[rows] != length).any():
+            raise ValueError(
+                f"chunk {chunk_id}: series must be non-empty and of one length, "
+                f"got lengths {lengths[rows].min()} to {lengths[rows].max()}"
+            )
+        if rows[-1] - rows[0] == len(rows) - 1:
+            start = starts[rows[0]]
+            data = values[start : start + len(rows) * length].reshape(len(rows), length)
+        else:
+            data = values[starts[rows, None] + np.arange(length)]
+        if not np.isfinite(data).all():
+            bad = ids[rows][~np.isfinite(data).all(axis=1)]
+            raise ValueError(
+                f"chunk {chunk_id}: series must be finite, {len(bad)} hold NaN "
+                f"or infinity (lowest id {bad.min()})"
+            )
+        yield chunk_id, ids[rows], data
+
+
+#: a bad chunk as a worker reports it, inside a worker's traceback
+_BAD_CHUNK = re.compile(r"^ValueError: (chunk -?\d+: .*)$", re.M)
+
+
+def _collect(scan: DataFrame) -> pd.DataFrame:
+    """Run a chunk scan and bring its rows to the driver. A bad chunk that
+    a worker found is raised here as a ``ValueError`` with the worker's
+    message, and a chunk whose rows came from more than one Spark partition
+    (a layout not made by a partitioner) is rejected: each piece would be
+    answered as a chunk of its own."""
+    try:
+        stats = scan.toPandas()
+    except PythonException as e:
+        bad = _BAD_CHUNK.search(str(e))
+        if bad is None:
+            raise
+        raise ValueError(bad.group(1)) from None
+    spread = stats.groupby("chunk_id")["partition_id"].nunique()
+    if (spread > 1).any():
+        raise ValueError(
+            f"chunks {spread.index[spread > 1].tolist()} span more than one "
+            "Spark partition; lay the dataset out with a partitioner, which "
+            "puts each chunk in a partition of its own"
+        )
+    return stats
 
 
 def _topk_pool(stats: pd.DataFrame) -> pd.DataFrame:
     """Every chunk's top-k entries pooled per query, one row each, sorted
     by (query_id, nn_dist, nn_id) and ranked from 1 within the query."""
-    lists = stats["topk"].map(json.loads)
-    entries = [e for topk in lists for e in topk]
-    qid = np.repeat(stats["query_id"].to_numpy(np.int64), lists.map(len).to_numpy(np.int64))
-    dist = np.array([d for d, _ in entries], dtype=np.float64)
-    sid = np.array([i for _, i in entries], dtype=np.int64)
+    sizes = stats["topk_id"].map(len).to_numpy(np.int64)
+    qid = np.repeat(stats["query_id"].to_numpy(np.int64), sizes)
+    dist = np.fromiter(chain.from_iterable(stats["topk_dist"]), np.float64, sizes.sum())
+    sid = np.fromiter(chain.from_iterable(stats["topk_id"]), np.int64, sizes.sum())
     order = np.lexsort((sid, dist, qid))
     qid, dist, sid = qid[order], dist[order], sid[order]
     # searchsorted finds where each row's query starts in the sorted pool
@@ -332,12 +408,9 @@ def build_only(chunked_df: DataFrame, *, index_params: dict | None = None) -> pd
     params = dict(DEFAULT_INDEX_PARAMS, **(index_params or {}))
     schema = T.StructType([RESULT_SCHEMA[name] for name in _BUILD_FIELDS])
 
-    def fn(pdf: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame([_build_chunk(pdf, params)[1]])
+    def fn(chunk_id: int, ids: np.ndarray, data: np.ndarray) -> dict:
+        build = _build_chunk(chunk_id, ids, data, params)[1]
+        return {name: [value] for name, value in build.items()}
 
-    return (
-        _grouped_scan(chunked_df, fn, schema)
-        .toPandas()
-        .sort_values("chunk_id")
-        .reset_index(drop=True)
-    )
+    stats = _collect(_chunk_scan(chunked_df, fn, schema))
+    return stats.sort_values("chunk_id").reset_index(drop=True)

@@ -3,7 +3,7 @@
 Both take a series DataFrame ``(id, series)`` and return it with an INT
 ``chunk_id`` column in ``[0, n_chunks)``, laid out so that chunk ``c`` is
 exactly Spark partition ``c`` (``one_chunk_per_partition``): the engine's
-grouped scan then runs every chunk as its own parallel task. The returned
+per-partition scan then runs every chunk as its own parallel task. The returned
 layout is built once, when the partitioner returns, and cached in the
 session (memory and disk), so every search pass scans resident chunks;
 ``unpersist()`` on it frees the cache.
@@ -41,12 +41,11 @@ def one_chunk_per_partition(df: DataFrame, n_chunks: int) -> DataFrame:
     is exactly Spark partition ``c``, and build that layout once.
 
     ``repartitionById`` places rows by the value of an INT column, so the
-    grouped scan's clustering on ``chunk_id`` is already satisfied and
-    Spark adds no second exchange. ``chunk_id`` is cast here, not in the
-    scan: a cast inside the partition expression does not match the
-    grouping column, and Spark then re-shuffles by hash. Hash partitioning
-    (``repartition(n, "chunk_id")``) can send two chunk ids to one
-    partition, range partitioning samples its bounds, and a shuffle
+    engine's per-partition scan (``mapInArrow``) finds each chunk whole in
+    one partition and adds no exchange. ``chunk_id`` is cast here, once, so
+    the layout's column is the INT the partition id came from. Hash
+    partitioning (``repartition(n, "chunk_id")``) can send two chunk ids to
+    one partition, range partitioning samples its bounds, and a shuffle
     without a partition count is merged by adaptive execution. A single
     chunk needs no shuffle at all.
 
@@ -54,11 +53,10 @@ def one_chunk_per_partition(df: DataFrame, n_chunks: int) -> DataFrame:
     Spark's DataFrame default) and built here by one ``count()``, so every
     later scan reads the resident chunks and nothing upstream of them (the
     local scan, the shuffle, a partitioner's UDFs) runs again. The build is
-    eager because the output partitioning of an adaptive cached plan is
-    known only once the cache is built: a scan planned against a lazy
-    cache still adds a hash exchange on ``chunk_id``. ``localCheckpoint()``
-    is no substitute: it drops the partitioning altogether. The caller
-    frees the layout with ``unpersist()``."""
+    eager so that this one-time work is set-up, and because the output
+    partitioning of an adaptive cached plan is known only once the cache is
+    built. ``localCheckpoint()`` is no substitute: it drops the partitioning
+    altogether. The caller frees the layout with ``unpersist()``."""
     df = df.withColumn("chunk_id", F.col("chunk_id").cast("int"))
     if n_chunks == 1:
         df = df.coalesce(1)

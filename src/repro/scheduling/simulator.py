@@ -20,7 +20,6 @@ Everything is deterministic given the seed, so experiments are exactly
 reproducible. Time is in node-time cost units (cost / n_threads).
 """
 import heapq
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,11 +49,10 @@ def works_from_stats(chunk_stats: pd.DataFrame, *, n_threads: int = 8) -> dict[i
     (node-time = cost units / intra-node threads)."""
     st = chunk_stats.sort_values(["chunk_id", "query_id"])
     serial = st["t_serial"] / n_threads
-    costs = st["pq_costs"].map(json.loads)
     out: dict[int, list[QueryWork]] = {}
-    for chunk, qid, ser, pq in zip(st["chunk_id"], st["query_id"], serial, costs):
+    for chunk, qid, ser, pq in zip(st["chunk_id"], st["query_id"], serial, st["pq_costs"]):
         out.setdefault(int(chunk), []).append(
-            QueryWork(query_id=int(qid), serial=float(ser), tasks=[c / n_threads for c in pq])
+            QueryWork(query_id=int(qid), serial=float(ser), tasks=np.divide(pq, n_threads).tolist())
         )
     return out
 

@@ -1,5 +1,6 @@
 """Baseline tests: DMESSI(-SW-BSF), DPiSAX — correctness and behaviour."""
 import numpy as np
+import pandas as pd
 import pytest
 
 from repro.baselines.dmessi import dmessi_search, dmessi_swbsf_search
@@ -111,3 +112,17 @@ def test_dpisax_concentrates_similar_series(setup):
 def test_dpisax_words_deterministic():
     data = clustered_walks_np(40, 32, seed=3)
     np.testing.assert_array_equal(dpisax_words_np(data), dpisax_words_np(data))
+
+
+def test_dpisax_cuts_do_not_depend_on_input_partitions(setup):
+    """The sample behind the cut points is drawn on the driver, so the
+    chunk of every series is the same however Spark splits the input."""
+    data, _, df = setup
+    assignments = []
+    for n_parts in (1, 7):
+        layout = dpisax_partition(df.repartition(n_parts), 4)
+        pdf = layout.select("id", "chunk_id").toPandas()
+        layout.unpersist()
+        assignments.append(pdf.sort_values("id").reset_index(drop=True))
+    assert assignments[0]["chunk_id"].nunique() == 4
+    pd.testing.assert_frame_equal(*assignments)

@@ -1,8 +1,7 @@
 """Distributed engine tests: DuckDB-oracle result equality + work stats."""
-import json
-
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pytest
 
 from repro.baselines.dpisax import dpisax_partition
@@ -112,7 +111,7 @@ def test_chunk_stats_shape_and_fields(setup):
     assert (st["total_cost"] > 0).all()
     assert (st["real_series"] >= 0).all()
     for pq in st["pq_costs"]:
-        assert isinstance(json.loads(pq), list)
+        assert np.asarray(pq).dtype == np.float64
 
 
 def test_bsf_sharing_reduces_work(setup):
@@ -183,15 +182,15 @@ def test_invalid_distance_rejected_before_any_job(spark, setup):
 @pytest.mark.parametrize("scheme", sorted(PARTITIONERS))
 def test_chunks_run_in_distinct_partitions(setup, scheme, n_chunks):
     """Every partitioner lays out n chunks as n Spark partitions, and the
-    grouped scan that ``chunk_search`` runs keeps them: no re-shuffle by
-    chunk id."""
+    scan that ``chunk_search`` runs keeps them: no re-shuffle by chunk
+    id."""
     data, queries, df, *_ = setup
     worker = engine._make_worker(
         queries[:1], approx_only=True, seeds=None, algorithm="odyssey",
         distance="ed", warp=0.05, k=1, n_threads=8,
         index_params=engine.DEFAULT_INDEX_PARAMS,
     )
-    scan = engine._grouped_scan(
+    scan = engine._chunk_scan(
         PARTITIONERS[scheme](df, n_chunks), worker, engine.RESULT_SCHEMA
     )
     stats = scan.toPandas()
@@ -220,7 +219,7 @@ def test_parallel_and_serial_chunks_agree(setup, kwargs):
     assert parallel["partition_id"].nunique() == 4
     assert serial["partition_id"].nunique() == 1
     cols = [
-        "nn_dist", "nn_id", "topk", "leaf_lb", "series_lb",
+        "nn_dist", "nn_id", "topk_dist", "topk_id", "leaf_lb", "series_lb",
         "real_series", "total_cost", "pq_costs",
     ]
     key = ["chunk_id", "query_id"]
@@ -267,9 +266,10 @@ def _plan_above_cache(plan) -> list[str]:
 @pytest.mark.parametrize("n_chunks", [1, 3, 4])
 @pytest.mark.parametrize("scheme", sorted(PARTITIONERS))
 def test_grouped_scan_reads_cached_layout(spark, setup, scheme, n_chunks):
-    """The partitioners build their layout once: the grouped scan reads the
-    cache, and neither the layout's shuffle nor its local scan nor a
-    partitioner UDF runs again, before adaptive execution or after it."""
+    """The partitioners build their layout once: the scan is one Arrow map
+    over the cache, and neither the layout's shuffle nor its local scan nor
+    a partitioner UDF runs again, and no grouping sorts the chunk, before
+    adaptive execution or after it."""
     data, queries, *_ = setup
     df = series_df(spark, data[1:])  # a layout no other test has cached
     worker = engine._make_worker(
@@ -277,7 +277,7 @@ def test_grouped_scan_reads_cached_layout(spark, setup, scheme, n_chunks):
         distance="ed", warp=0.05, k=1, n_threads=8,
         index_params=engine.DEFAULT_INDEX_PARAMS,
     )
-    scan = engine._grouped_scan(
+    scan = engine._chunk_scan(
         PARTITIONERS[scheme](df, n_chunks), worker, engine.RESULT_SCHEMA
     )
     for run in (False, True):
@@ -285,7 +285,11 @@ def test_grouped_scan_reads_cached_layout(spark, setup, scheme, n_chunks):
             assert scan.toPandas()["chunk_id"].nunique() == n_chunks
         names = _plan_above_cache(scan._jdf.queryExecution().executedPlan())
         assert "InMemoryTableScan" in names
-        for node in ("ArrowEvalPython", "LocalTableScan", "Exchange"):
+        assert "MapInArrow" in names
+        for node in (
+            "ArrowEvalPython", "LocalTableScan", "Exchange", "Sort",
+            "FlatMapGroupsInPandas",
+        ):
             assert node not in names, (node, names)
 
 
@@ -337,11 +341,103 @@ def test_bad_queries_rejected_before_any_job(spark, setup, bad, k):
         chunked.unpersist()
 
 
+
+def _bad_series_df(spark, data, series):
+    """``(id, series)`` frame of ``data`` with some rows replaced."""
+    rows = [list(map(float, row)) for row in data]
+    for i, row in series.items():
+        rows[i] = row
+    return spark.createDataFrame(
+        pd.DataFrame({"id": np.arange(len(rows), dtype=np.int64), "series": rows})
+    )
+
+
+LENGTH = "series must be non-empty and of one length, got lengths"
+NOT_FINITE = "series must be finite"
+
+
+@pytest.mark.parametrize(
+    "series, message",
+    [
+        ({7: [0.5] * (L - 1)}, rf"chunk 0: {LENGTH} 31 to 32"),
+        ({300: [0.5] * (L + 8)}, rf"chunk 1: {LENGTH} 32 to 40"),
+        ({5: [np.nan] * L}, rf"chunk 0: {NOT_FINITE}, 1 hold NaN or infinity \(lowest id 5\)"),
+        (
+            {250: [0.0] * (L - 1) + [np.inf], 200: [-np.inf] * L},
+            rf"chunk 1: {NOT_FINITE}, 2 hold NaN or infinity \(lowest id 200\)",
+        ),
+    ],
+    ids=["short", "long", "nan", "inf"],
+)
+def test_bad_series_rejected(spark, setup, series, message):
+    """Ragged or non-finite series are reported as a ValueError naming the
+    chunk, not answered as if they were data (a NaN row is never returned)
+    or misaligned by the reshape."""
+    data, queries, *_ = setup
+    chunked = equally_split(_bad_series_df(spark, data, series), 2)
+    try:
+        with pytest.raises(ValueError, match=message):
+            distributed_search(chunked, queries[:1])
+        with pytest.raises(ValueError, match=message):
+            build_only(chunked)
+    finally:
+        chunked.unpersist()
+
+
+def test_chunk_split_over_partitions_rejected(setup):
+    """A scan answers each partition's rows as chunks of their own, so a
+    layout whose chunk spans two partitions is rejected, not answered twice."""
+    data, queries, df, *_ = setup
+    split = equally_split(df, 1).repartition(2)
+    with pytest.raises(ValueError, match=r"chunks \[0\] span more than one Spark partition"):
+        distributed_search(split, queries[:1])
+    with pytest.raises(ValueError, match="span more than one Spark partition"):
+        build_only(split)
+
+
+def test_chunks_from_record_batches():
+    """The scan's Arrow conversion: several record batches, a sliced list
+    column (non-zero offset) and a chunk whose rows do not arrive as one
+    run give each chunk's rows in arrival order, as a C-contiguous float64
+    matrix equal to the input series."""
+    rng = np.random.default_rng(3)
+    data = rng.standard_normal((11, 6))
+    ids = np.arange(100, 111, dtype=np.int64)
+    chunk_ids = np.array([4, 4, 4, 2, 2, 4, 4, 9, 9, 9, 9], dtype=np.int32)
+    # the series column of the first batch is a slice of a longer list array
+    padded = pa.array([[7.0] * 6] + [list(r) for r in data[:3]] + [[8.0] * 6])
+    batches = [
+        pa.RecordBatch.from_arrays(
+            [pa.array(chunk_ids[:3]), pa.array(ids[:3]), padded.slice(1, 3)],
+            names=["chunk_id", "id", "series"],
+        )
+    ]
+    for lo, hi in [(3, 5), (5, 5), (5, 7), (7, 11)]:
+        batches.append(
+            pa.RecordBatch.from_arrays(
+                [
+                    pa.array(chunk_ids[lo:hi]),
+                    pa.array(ids[lo:hi]),
+                    pa.array([list(r) for r in data[lo:hi]], type=pa.list_(pa.float64())),
+                ],
+                names=["chunk_id", "id", "series"],
+            )
+        )
+    assert batches[0].column("series").offset == 1
+    chunks = list(engine._chunks(iter(batches)))
+    assert [c for c, _, _ in chunks] == [2, 4, 9]
+    for chunk_id, got_ids, got in chunks:
+        rows = np.flatnonzero(chunk_ids == chunk_id)
+        np.testing.assert_array_equal(got_ids, ids[rows])
+        assert got.dtype == np.float64 and got.flags["C_CONTIGUOUS"]
+        np.testing.assert_array_equal(got, data[rows])
+    assert list(engine._chunks(iter([]))) == []
+
 def _merge_reference(stats, k):
     """The coordinator's k-NN merge as a plain loop over every entry."""
     rows = []
     for _, r in stats.iterrows():
-        for dist, sid in json.loads(r["topk"]):
+        for dist, sid in zip(r["topk_dist"], r["topk_id"]):
             rows.append((int(r["query_id"]), float(dist), int(sid)))
     pool = pd.DataFrame(rows, columns=["query_id", "nn_dist", "nn_id"])
     pool = pool.sort_values(["query_id", "nn_dist", "nn_id"]).groupby("query_id").head(k)
@@ -353,7 +449,7 @@ def _seeds_reference(approx, n_queries, k):
     """The k-th best pooled distance per query, as a plain loop."""
     seeds = np.full(n_queries, np.inf)
     for qid, grp in approx.groupby("query_id"):
-        dists = sorted(d for tk in grp["topk"] for d, _ in json.loads(tk))
+        dists = sorted(d for tk in grp["topk_dist"] for d in tk)
         if len(dists) >= k:
             seeds[int(qid)] = dists[k - 1]
     return seeds
@@ -369,8 +465,10 @@ def _random_stats(rng, n_chunks, n_queries, k):
             m = int(rng.integers(0 if rows else 1, k + 1))
             ids = rng.choice(100, size=m, replace=False) + 100 * c
             dists = rng.integers(0, 4, size=m).astype(float) / 2
-            entries = sorted(zip(dists.tolist(), ids.tolist()))
-            rows.append({"chunk_id": c, "query_id": q, "topk": json.dumps(entries)})
+            order = np.lexsort((ids, dists))
+            rows.append(
+                {"chunk_id": c, "query_id": q, "topk_dist": dists[order], "topk_id": ids[order]}
+            )
     return pd.DataFrame(rows)
 
 

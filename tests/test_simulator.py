@@ -1,11 +1,10 @@
 """Makespan simulator and work-stealing protocol tests."""
-import json
-
 import numpy as np
 import pandas as pd
 import pytest
 
 from repro.distributed.replication import ReplicationConfig
+from repro.scheduling.schedulers import ALL_POLICIES
 from repro.scheduling.simulator import (
     QueryWork,
     simulate_cluster,
@@ -121,7 +120,7 @@ def test_works_from_stats_roundtrip():
             "chunk_id": [0, 0, 1],
             "query_id": [1, 0, 0],
             "t_serial": [8.0, 16.0, 24.0],
-            "pq_costs": ["[8.0, 8.0]", "[]", "[16.0]"],
+            "pq_costs": [np.array([8.0, 8.0]), np.array([]), np.array([16.0])],
         }
     )
     works = works_from_stats(stats, n_threads=8)
@@ -136,7 +135,7 @@ def _works_reference(chunk_stats, n_threads):
     """``works_from_stats`` as a plain loop over rows."""
     out = {}
     for _, r in chunk_stats.sort_values(["chunk_id", "query_id"]).iterrows():
-        tasks = [c / n_threads for c in json.loads(r["pq_costs"])]
+        tasks = [c / n_threads for c in r["pq_costs"]]
         out.setdefault(int(r["chunk_id"]), []).append(
             QueryWork(int(r["query_id"]), float(r["t_serial"]) / n_threads, tasks)
         )
@@ -151,8 +150,9 @@ def test_works_from_stats_matches_loop(seed):
             "chunk_id": c,
             "query_id": q,
             "t_serial": float(rng.random() * 100),
-            "pq_costs": json.dumps((rng.random(int(rng.integers(0, 6))) * 50).tolist()),
-            "topk": "[]",
+            "pq_costs": rng.random(int(rng.integers(0, 6))) * 50,
+            "topk_dist": np.array([]),
+            "topk_id": np.array([], dtype=np.int64),
         }
         for c in rng.permutation(int(rng.integers(1, 5)))
         for q in rng.permutation(int(rng.integers(1, 8)))
@@ -165,3 +165,42 @@ def test_works_from_stats_matches_loop(seed):
 def test_imbalance_metric():
     r = simulate_group(_works([100, 1, 1, 1]), 4, "STATIC")
     assert r.imbalance > 1.5
+
+
+def _random_works(rng):
+    """Up to 30 queries: serial parts and 0-7 PQ tasks, some costs zero,
+    some integer-valued so that loads tie."""
+    works = []
+    for i in range(int(rng.integers(0, 31))):
+        tasks = rng.exponential(5.0, int(rng.integers(0, 8)))
+        tasks[rng.random(len(tasks)) < 0.1] = 0.0
+        if rng.random() < 0.3:
+            tasks = np.round(tasks)
+        works.append(QueryWork(i, float(rng.exponential(10.0)), tasks.tolist()))
+    return works
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_simulator_invariants(seed):
+    """For every policy and 1-8 nodes: the nodes' busy time adds up to the
+    measured work plus the steal re-creation cost (``total_work``), and
+    the makespan is at least the even share of that work and at least the
+    largest single chore."""
+    rng = np.random.default_rng(seed)
+    works = _random_works(rng)
+    predictions = rng.random(len(works)) * 100
+    measured = sum(w.total for w in works)
+    stealable = sum(sum(w.tasks) for w in works)
+    largest = max((c for w in works for c in [w.serial, *w.tasks]), default=0.0)
+    for policy in ALL_POLICIES:
+        for n_nodes in range(1, 9):
+            r = simulate_group(works, n_nodes, policy, predictions=predictions, seed=seed)
+            case = (policy, n_nodes)
+            recreate = r.total_work - measured
+            assert -1e-9 <= recreate <= 0.15 * stealable + 1e-9, case
+            if r.n_steals == 0:
+                assert recreate == pytest.approx(0.0, abs=1e-9), case
+            assert len(r.node_busy) == n_nodes, case
+            assert sum(r.node_busy) == pytest.approx(r.total_work, rel=1e-12, abs=1e-9), case
+            bound = max(r.total_work / n_nodes, largest)
+            assert r.makespan >= bound * (1 - 1e-12) - 1e-9, case
