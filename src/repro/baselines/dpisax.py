@@ -52,9 +52,8 @@ def dpisax_partition(
         return pd.Series(dpisax_words_np(data, w=w, max_bits=max_bits, word_bits=word_bits))
 
     with_word = df.withColumn("isax_word", _word("series"))
-    pairs = with_word.select("id", "isax_word").toPandas()
-    check_n_chunks(n_chunks, len(pairs))
-    words = pairs["isax_word"].to_numpy()[np.argsort(pairs["id"].to_numpy(), kind="stable")]
+    words = with_word.select("id", "isax_word").toPandas().sort_values("id")["isax_word"].to_numpy()
+    check_n_chunks(n_chunks, len(words))
     size = max(1, round(min(1.0, sample_fraction) * len(words)))
     sample = np.sort(np.random.default_rng(seed).choice(words, size=size, replace=False))
     # n_chunks - 1 split points at equal sample mass

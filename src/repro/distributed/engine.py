@@ -254,7 +254,7 @@ def _chunks(batches):
     values = np.concatenate(
         [s.flatten().to_numpy(zero_copy_only=False) for s in series]
     ).astype(np.float64, copy=False)
-    del batches, series
+    del batches, series  # values is a copy: free the Arrow buffers before any index build
     starts = np.cumsum(lengths) - lengths
     order = np.argsort(chunk_ids, kind="stable")
     for rows in np.split(order, np.flatnonzero(np.diff(chunk_ids[order])) + 1):
