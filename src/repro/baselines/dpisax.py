@@ -13,49 +13,49 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
-from ..core.isax import pack_symbols, symbols
+from ..core.isax import MAX_BITS, W, pack_symbols, symbols
 from ..core.paa import paa
-from ..distributed.engine import DistResult, distributed_search
-from ..distributed.partitioning import check_n_chunks, cut_index, one_chunk_per_partition
+from ..distributed.engine import DistResult, distributed_search, to_pandas
+from ..distributed.partitioning import (
+    check_n_chunks,
+    cut_index,
+    one_chunk_per_partition,
+    series_matrix,
+)
+
+#: bits per segment of the sortable iSAX word
+WORD_BITS = 3
+#: share of the words sampled for the cut points, and the sample's seed
+SAMPLE_FRACTION = 0.2
+SAMPLE_SEED = 0
 
 
-def dpisax_words_np(
-    data: np.ndarray, *, w: int = 8, max_bits: int = 8, word_bits: int = 3
-) -> np.ndarray:
-    """Sortable iSAX word (top ``word_bits`` per segment, packed)."""
-    syms = symbols(paa(np.asarray(data, dtype=np.float64), w), max_bits)
-    return pack_symbols(syms >> (max_bits - word_bits), word_bits)
+def dpisax_words_np(data: np.ndarray) -> np.ndarray:
+    """Sortable iSAX word (top ``WORD_BITS`` per segment, packed)."""
+    syms = symbols(paa(np.asarray(data, dtype=np.float64), W), MAX_BITS)
+    return pack_symbols(syms >> (MAX_BITS - WORD_BITS), WORD_BITS)
 
 
-def dpisax_partition(
-    df: DataFrame,
-    n_chunks: int,
-    *,
-    w: int = 8,
-    max_bits: int = 8,
-    word_bits: int = 3,
-    sample_fraction: float = 0.2,
-    seed: int = 0,
-) -> DataFrame:
+def dpisax_partition(df: DataFrame, n_chunks: int) -> DataFrame:
     """Assign ``chunk_id`` by sampled iSAX-word range partitioning.
 
-    The sample is drawn on the driver with a numpy RNG seeded by ``seed``,
-    over the words in id order, so the cut points are the same however
-    Spark splits the input (Spark's ``sample`` is seeded per input
-    partition). The layout is built once and cached in the session (memory
-    and disk), so the iSAX-word UDF runs in set-up only (for the sample and
-    for the layout), not per pass; ``unpersist()`` frees it."""
+    The sample is drawn on the driver with a numpy RNG seeded by
+    ``SAMPLE_SEED``, over the words in id order, so the cut points are the
+    same however Spark splits the input (Spark's ``sample`` is seeded per
+    input partition). The layout is built once and cached in the session
+    (memory and disk), so the iSAX-word UDF runs in set-up only (for the
+    sample and for the layout), not per pass; ``unpersist()`` frees it.
+    Series that differ in length raise ``ValueError``."""
 
     @F.pandas_udf(T.LongType())
     def _word(series: pd.Series) -> pd.Series:
-        data = np.stack(series.to_numpy())
-        return pd.Series(dpisax_words_np(data, w=w, max_bits=max_bits, word_bits=word_bits))
+        return pd.Series(dpisax_words_np(series_matrix(series)))
 
     with_word = df.withColumn("isax_word", _word("series"))
-    words = with_word.select("id", "isax_word").toPandas().sort_values("id")["isax_word"].to_numpy()
+    words = to_pandas(with_word.select("id", "isax_word")).sort_values("id")["isax_word"].to_numpy()
     check_n_chunks(n_chunks, len(words))
-    size = max(1, round(min(1.0, sample_fraction) * len(words)))
-    sample = np.sort(np.random.default_rng(seed).choice(words, size=size, replace=False))
+    size = max(1, round(SAMPLE_FRACTION * len(words)))
+    sample = np.sort(np.random.default_rng(SAMPLE_SEED).choice(words, size=size, replace=False))
     # n_chunks - 1 split points at equal sample mass
     cuts = [
         float(sample[min(len(sample) - 1, int(np.ceil(len(sample) * i / n_chunks)))])

@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from .index import ISaxIndex
-from .search import LEAF_OVERHEAD, SearchStats, pq_search
+from .search import LEAF_OVERHEAD, N_THREADS, SearchStats, pq_search
 
 
 def warping_window(length: int, frac: float) -> int:
@@ -184,16 +184,15 @@ def exact_search_dtw(
     k: int = 1,
     warp: float = 0.05,
     init_bsf: float = np.inf,
-    n_threads: int = 8,
+    n_threads: int = N_THREADS,
     n_batches: int | None = None,
     pq_threshold: int | None = 64,
     sorted_pqs: bool = True,
-    help_th: int = 2,
 ) -> SearchStats:
     """Exact DTW k-NN on one node's index, Odyssey PQ discipline."""
     return pq_search(
         index, _DtwMetric(index, q, warp), k=k, init_bsf=init_bsf, n_threads=n_threads,
-        n_batches=n_batches, pq_threshold=pq_threshold, sorted_pqs=sorted_pqs, help_th=help_th,
+        n_batches=n_batches, pq_threshold=pq_threshold, sorted_pqs=sorted_pqs,
     )
 
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .isax import mindist_paa_regions, pack_bits, region_bounds, symbols
-from .paa import paa, znorm
+from .isax import MAX_BITS, W, mindist_paa_regions, pack_bits, region_bounds, symbols
+from .paa import paa
 
 
 @dataclass
@@ -77,13 +77,12 @@ def build_index(
     ids: np.ndarray,
     data: np.ndarray,
     *,
-    w: int = 8,
-    max_bits: int = 8,
+    w: int = W,
+    max_bits: int = MAX_BITS,
     leaf_capacity: int = 64,
-    znormalize: bool = False,
 ) -> ISaxIndex:
     """Build the iSAX index tree over one chunk of series."""
-    data = znorm(data) if znormalize else np.asarray(data, dtype=np.float64)
+    data = np.asarray(data, dtype=np.float64)
     ids = np.asarray(ids, dtype=np.int64)
     if data.ndim != 2 or len(ids) != len(data):
         raise ValueError("data must be (n, L) with one id per series")

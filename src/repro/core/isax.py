@@ -11,6 +11,11 @@ from statistics import NormalDist
 
 import numpy as np
 
+#: iSAX word length (segments per series) and maximum cardinality (bits per
+#: symbol), the paper's configuration; every index and partitioner uses them
+W = 8
+MAX_BITS = 8
+
 
 @lru_cache(maxsize=None)
 def breakpoints(bits: int) -> np.ndarray:
@@ -22,7 +27,7 @@ def breakpoints(bits: int) -> np.ndarray:
     return np.array([nd.inv_cdf(i / card) for i in range(1, card)])
 
 
-def symbols(paa_values: np.ndarray, bits: int = 8) -> np.ndarray:
+def symbols(paa_values: np.ndarray, bits: int = MAX_BITS) -> np.ndarray:
     """iSAX symbols at max cardinality ``2^bits`` for PAA values (any shape)."""
     return np.searchsorted(breakpoints(bits), paa_values, side="right").astype(
         np.int64

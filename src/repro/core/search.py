@@ -40,6 +40,11 @@ from .paa import paa
 
 #: cost units (flop-ish): real distance = L per series, lower bounds = w.
 LEAF_OVERHEAD = 8.0
+#: threads per node: the search's RS-batch count and simulated thread
+#: schedule, and the simulator's and harness's cost-to-node-time divisor
+N_THREADS = 8
+#: helpers per RS-batch in the traversal phase (the paper's HelpTH)
+HELP_TH = 2
 
 
 @dataclass
@@ -53,7 +58,6 @@ class SearchStats:
     leaf_lb: int = 0  # leaf lower-bound computations
     series_lb: int = 0  # per-series lower-bound computations
     real_series: int = 0  # series whose real distance was computed
-    leaves_inserted: int = 0
     leaves_processed: int = 0
     approx_cost: float = 0.0
     traversal_cost: float = 0.0
@@ -77,14 +81,14 @@ def list_schedule(costs, n_threads: int) -> float:
     return max(clocks)
 
 
-def _traversal_makespan(costs, n_threads: int, help_th: int) -> float:
+def _traversal_makespan(costs, n_threads: int) -> float:
     """Traversal phase makespan: idle threads help on a batch, at most
-    ``help_th`` helpers per batch (paper's HelpTH), so a batch's cost is
-    divisible among up to ``1 + help_th`` threads."""
+    ``HELP_TH`` helpers per batch, so a batch's cost is divisible among up
+    to ``1 + HELP_TH`` threads."""
     if not costs:
         return 0.0
     total = float(sum(costs))
-    widest = max(costs) / (1 + max(0, help_th))
+    widest = max(costs) / (1 + HELP_TH)
     return max(total / max(1, n_threads), widest)
 
 
@@ -176,7 +180,7 @@ class _EdMetric:
 
 def pq_search(
     index: ISaxIndex, metric, *, k: int, init_bsf: float, n_threads: int,
-    n_batches: int | None, pq_threshold: int | None, sorted_pqs: bool, help_th: int,
+    n_batches: int | None, pq_threshold: int | None, sorted_pqs: bool,
 ) -> SearchStats:
     """The search phases over one distance's lower-bound cascade.
 
@@ -205,7 +209,6 @@ def pq_search(
             if lb >= bound:
                 continue
             current.append((lb, leaf_idx))
-            stats.leaves_inserted += 1
             if pq_threshold is not None and len(current) >= pq_threshold:
                 current.sort()
                 pqs.append(current)
@@ -239,7 +242,7 @@ def pq_search(
     stats.nn_dist, stats.nn_id = stats.topk[0]
     stats.thread_time = (
         approx_cost / max(1, n_threads)
-        + _traversal_makespan(batch_costs, n_threads, help_th)
+        + _traversal_makespan(batch_costs, n_threads)
         + list_schedule(stats.pq_costs, n_threads)
     )
     return stats
@@ -251,15 +254,14 @@ def exact_search(
     *,
     k: int = 1,
     init_bsf: float = np.inf,
-    n_threads: int = 8,
+    n_threads: int = N_THREADS,
     n_batches: int | None = None,
     pq_threshold: int | None = 64,
     sorted_pqs: bool = True,
-    help_th: int = 2,
 ) -> SearchStats:
     """Exact k-NN search on one node's index (Odyssey; MESSI baseline via
     ``sorted_pqs=False, pq_threshold=None``)."""
     return pq_search(
         index, _EdMetric(index, q), k=k, init_bsf=init_bsf, n_threads=n_threads,
-        n_batches=n_batches, pq_threshold=pq_threshold, sorted_pqs=sorted_pqs, help_th=help_th,
+        n_batches=n_batches, pq_threshold=pq_threshold, sorted_pqs=sorted_pqs,
     )

@@ -18,8 +18,9 @@ parallel up to the session's cores, and returns one Arrow record batch of
 typed columns (``topk_dist``/``topk_id``/``pq_costs`` are arrays). Every
 result row records the partition and Python worker process that produced
 it (``partition_id``, ``worker_pid``); a chunk whose rows come from more
-than one partition is rejected on the driver. BSF sharing is a two-pass
-dataflow:
+than one partition is rejected on the driver. A worker rejects a query
+batch whose length is not its chunk's series length, and the driver
+raises that as a ``ValueError``. BSF sharing is a two-pass dataflow:
 
   pass 1  approximate search per chunk  →  driver reduces to a global
           per-query k-BSF seed (the paper's BSF-sharing channel)
@@ -74,7 +75,6 @@ RESULT_SCHEMA = T.StructType(
         T.StructField("series_lb", T.LongType()),
         T.StructField("real_series", T.LongType()),
         T.StructField("total_cost", T.DoubleType()),
-        T.StructField("thread_time", T.DoubleType()),
         T.StructField("elapsed", T.DoubleType()),
         T.StructField("partition_id", T.LongType()),  # Spark partition of the chunk
         T.StructField("worker_pid", T.LongType()),  # Python worker process
@@ -89,8 +89,6 @@ _BUILD_FIELDS = (
 #: the per-query part of a result row
 _QUERY_FIELDS = tuple(f.name for f in RESULT_SCHEMA.fields if f.name not in _BUILD_FIELDS)
 
-DEFAULT_INDEX_PARAMS = {"w": 8, "max_bits": 8, "leaf_capacity": 64}
-
 
 @dataclass
 class DistResult:
@@ -98,7 +96,6 @@ class DistResult:
 
     chunk_stats: pd.DataFrame
     answers: pd.DataFrame  # k=1: (query_id, nn_dist, nn_id); k>1: + rank
-    k: int
 
 
 def _make_worker(
@@ -110,8 +107,6 @@ def _make_worker(
     distance: str,
     warp: float,
     k: int,
-    n_threads: int,
-    index_params: dict,
 ):
     """Build the per-chunk worker (closure ships queries + seeds)."""
     if algorithm == "odyssey":
@@ -128,7 +123,12 @@ def _make_worker(
         raise ValueError(f"unknown distance {distance!r}")
 
     def fn(chunk_id: int, ids: np.ndarray, data: np.ndarray) -> dict:
-        index, base = _build_chunk(chunk_id, ids, data, index_params)
+        if queries.shape[1] != data.shape[1]:
+            raise ValueError(
+                f"chunk {chunk_id}: queries have length {queries.shape[1]}, "
+                f"series have length {data.shape[1]}"
+            )
+        index, base = _build_chunk(chunk_id, ids, data)
         rows = []
         for qi, q in enumerate(queries):
             t1 = time.perf_counter()
@@ -147,11 +147,10 @@ def _make_worker(
                     "series_lb": 0,
                     "real_series": len(member_ids),
                     "total_cost": cost,
-                    "thread_time": cost / max(1, n_threads),
                 }
             else:
                 seed = float(seeds[qi]) if seeds is not None else np.inf
-                st = search(index, q, k=k, init_bsf=seed, n_threads=n_threads, **search_kw)
+                st = search(index, q, k=k, init_bsf=seed, **search_kw)
                 row = {
                     "nn_dist": st.nn_dist,
                     "nn_id": st.nn_id,
@@ -164,7 +163,6 @@ def _make_worker(
                     "series_lb": st.series_lb,
                     "real_series": st.real_series,
                     "total_cost": st.total_cost,
-                    "thread_time": st.thread_time,
                 }
             rows.append({**row, "query_id": qi, "elapsed": time.perf_counter() - t1})
         return {
@@ -175,10 +173,10 @@ def _make_worker(
     return fn
 
 
-def _build_chunk(chunk_id: int, ids: np.ndarray, data: np.ndarray, index_params: dict):
+def _build_chunk(chunk_id: int, ids: np.ndarray, data: np.ndarray):
     """Build one chunk's index; returns it and the chunk's build record."""
     t0 = time.perf_counter()
-    index = build_index(ids, data, **index_params)
+    index = build_index(ids, data)
     build_elapsed = time.perf_counter() - t0
     return index, {
         "chunk_id": chunk_id,
@@ -203,11 +201,8 @@ def chunk_search(
     distance: str = "ed",
     warp: float = 0.05,
     k: int = 1,
-    n_threads: int = 8,
-    index_params: dict | None = None,
 ) -> pd.DataFrame:
     """One scan pass: per-chunk index build + batch query answering."""
-    params = dict(DEFAULT_INDEX_PARAMS, **(index_params or {}))
     fn = _make_worker(
         np.asarray(queries, dtype=np.float64),
         approx_only=approx_only,
@@ -216,8 +211,6 @@ def chunk_search(
         distance=distance,
         warp=warp,
         k=k,
-        n_threads=n_threads,
-        index_params=params,
     )
     return _collect(_chunk_scan(chunked_df, fn, RESULT_SCHEMA))
 
@@ -279,23 +272,29 @@ def _chunks(batches):
         yield chunk_id, ids[rows], data
 
 
-#: a bad chunk as a worker reports it, inside a worker's traceback
-_BAD_CHUNK = re.compile(r"^ValueError: (chunk -?\d+: .*)$", re.M)
+#: bad input as a worker reports it, inside a worker's traceback: a bad
+#: chunk (``chunk c: ...``) or, in a partitioner's UDF, bad series
+_BAD_INPUT = re.compile(r"^ValueError: ((?:chunk -?\d+: |series ).*)$", re.M)
 
 
-def _collect(scan: DataFrame) -> pd.DataFrame:
-    """Run a chunk scan and bring its rows to the driver. A bad chunk that
-    a worker found is raised here as a ``ValueError`` with the worker's
-    message, and a chunk whose rows came from more than one Spark partition
-    (a layout not made by a partitioner) is rejected: each piece would be
-    answered as a chunk of its own."""
+def to_pandas(df: DataFrame) -> pd.DataFrame:
+    """``df.toPandas()``, with bad input that a Python worker found raised
+    here as a ``ValueError`` with the worker's message."""
     try:
-        stats = scan.toPandas()
+        return df.toPandas()
     except PythonException as e:
-        bad = _BAD_CHUNK.search(str(e))
+        bad = _BAD_INPUT.search(str(e))
         if bad is None:
             raise
         raise ValueError(bad.group(1)) from None
+
+
+def _collect(scan: DataFrame) -> pd.DataFrame:
+    """Run a chunk scan and bring its rows to the driver (``to_pandas``).
+    A chunk whose rows came from more than one Spark partition (a layout
+    not made by a partitioner) is rejected: each piece would be answered
+    as a chunk of its own."""
+    stats = to_pandas(scan)
     spread = stats.groupby("chunk_id")["partition_id"].nunique()
     if (spread > 1).any():
         raise ValueError(
@@ -321,14 +320,11 @@ def _topk_pool(stats: pd.DataFrame) -> pd.DataFrame:
 
 
 def _merge_answers(stats: pd.DataFrame, k: int) -> pd.DataFrame:
-    """Coordinator merge: global (k-)NN across chunks' partial answers."""
-    if k == 1:
-        best = stats.sort_values(["query_id", "nn_dist", "nn_id"]).groupby(
-            "query_id", as_index=False
-        ).first()
-        return best[["query_id", "nn_dist", "nn_id"]].reset_index(drop=True)
+    """Coordinator merge: global (k-)NN across chunks' partial answers,
+    without the ``rank`` column for k = 1."""
     pool = _topk_pool(stats)
-    return pool[pool["rank"] <= k].reset_index(drop=True)
+    best = pool[pool["rank"] <= k].reset_index(drop=True)
+    return best.drop(columns="rank") if k == 1 else best
 
 
 def _seeds_from_approx(approx: pd.DataFrame, n_queries: int, k: int) -> np.ndarray:
@@ -363,8 +359,6 @@ def distributed_search(
     distance: str = "ed",
     warp: float = 0.05,
     k: int = 1,
-    n_threads: int = 8,
-    index_params: dict | None = None,
 ) -> DistResult:
     """End-to-end distributed exact (k-)NN search over a chunked dataset.
 
@@ -379,20 +373,12 @@ def distributed_search(
         approx = chunk_search(
             chunked_df, queries, approx_only=True, algorithm=algorithm,
             distance=distance, warp=warp, k=k,
-            n_threads=n_threads, index_params=index_params,
         )
         seeds = _seeds_from_approx(approx, len(queries), k)
         extra_cost = approx.groupby(["chunk_id", "query_id"])["total_cost"].sum()
     stats = chunk_search(
-        chunked_df,
-        queries,
-        seeds=seeds,
-        algorithm=algorithm,
-        distance=distance,
-        warp=warp,
-        k=k,
-        n_threads=n_threads,
-        index_params=index_params,
+        chunked_df, queries, seeds=seeds, algorithm=algorithm,
+        distance=distance, warp=warp, k=k,
     )
     if extra_cost is not None:
         # the approximate pass is real work a node performs; fold it into
@@ -400,16 +386,15 @@ def distributed_search(
         key = stats.set_index(["chunk_id", "query_id"]).index
         stats["t_serial"] = stats["t_serial"].to_numpy() + extra_cost.reindex(key).fillna(0).to_numpy()
         stats["total_cost"] = stats["total_cost"].to_numpy() + extra_cost.reindex(key).fillna(0).to_numpy()
-    return DistResult(chunk_stats=stats, answers=_merge_answers(stats, k), k=k)
+    return DistResult(chunk_stats=stats, answers=_merge_answers(stats, k))
 
 
-def build_only(chunked_df: DataFrame, *, index_params: dict | None = None) -> pd.DataFrame:
+def build_only(chunked_df: DataFrame) -> pd.DataFrame:
     """Per-chunk index build statistics without answering any query."""
-    params = dict(DEFAULT_INDEX_PARAMS, **(index_params or {}))
     schema = T.StructType([RESULT_SCHEMA[name] for name in _BUILD_FIELDS])
 
     def fn(chunk_id: int, ids: np.ndarray, data: np.ndarray) -> dict:
-        build = _build_chunk(chunk_id, ids, data, params)[1]
+        build = _build_chunk(chunk_id, ids, data)[1]
         return {name: [value] for name, value in build.items()}
 
     stats = _collect(_chunk_scan(chunked_df, fn, schema))

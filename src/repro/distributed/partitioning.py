@@ -21,8 +21,12 @@ from pyspark.sql import Column, DataFrame, Window
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
-from ..core.isax import inverse_gray, pack_symbols, symbols
+from ..core.isax import MAX_BITS, W, inverse_gray, pack_symbols, symbols
 from ..core.paa import paa
+from .engine import to_pandas
+
+#: bits per segment of a summarization-buffer word (16-bit words)
+BUFFER_BITS = 2
 
 
 def check_n_chunks(n_chunks: int, n_series: int) -> None:
@@ -99,24 +103,24 @@ def equally_split(
     return one_chunk_per_partition(df.withColumn("chunk_id", chunk), n_chunks)
 
 
-def buffer_words_np(
-    data: np.ndarray, *, w: int = 8, max_bits: int = 8, buffer_bits: int = 2
-) -> np.ndarray:
-    """Summarization-buffer word per series: top ``buffer_bits`` bits of
+def series_matrix(series: pd.Series) -> np.ndarray:
+    """The ``(n, L)`` matrix of a pandas UDF's series column. Raises
+    ``ValueError`` giving the length range when the series are empty or
+    differ in length (``engine.to_pandas`` raises it on the driver)."""
+    lengths = series.map(lambda s: 0 if s is None else len(s))
+    if lengths.min() == 0 or lengths.min() != lengths.max():
+        raise ValueError(
+            "series must be non-empty and of one length, "
+            f"got lengths {lengths.min()} to {lengths.max()}"
+        )
+    return np.stack(series.to_numpy())
+
+
+def buffer_words_np(data: np.ndarray) -> np.ndarray:
+    """Summarization-buffer word per series: top ``BUFFER_BITS`` bits of
     each segment's symbol, packed into one integer."""
-    syms = symbols(paa(np.asarray(data, dtype=np.float64), w), max_bits)
-    return pack_symbols(syms >> (max_bits - buffer_bits), buffer_bits)
-
-
-def _with_buffer_col(
-    df: DataFrame, *, w: int, max_bits: int, buffer_bits: int
-) -> DataFrame:
-    @F.pandas_udf(T.LongType())
-    def _buffer(series: pd.Series) -> pd.Series:
-        data = np.stack(series.to_numpy())
-        return pd.Series(buffer_words_np(data, w=w, max_bits=max_bits, buffer_bits=buffer_bits))
-
-    return df.withColumn("buffer", _buffer("series"))
+    syms = symbols(paa(np.asarray(data, dtype=np.float64), W), MAX_BITS)
+    return pack_symbols(syms >> (MAX_BITS - BUFFER_BITS), BUFFER_BITS)
 
 
 def plan_buffer_assignment(
@@ -126,7 +130,9 @@ def plan_buffer_assignment(
 
     ``counts`` has columns ``buffer``/``count``. Returns one row per buffer
     with ``chunk_id`` (-1 means "stripe this buffer across all chunks").
-    Pure pandas so tests can exercise the balancing logic directly."""
+    Pure pandas so tests can exercise the balancing logic directly. λ is 8
+    at mini scale (the paper uses 400 at 100M series and reports stability
+    across a wide λ range)."""
     counts = counts.copy()
     counts["rank"] = inverse_gray(counts["buffer"].to_numpy())
     counts = counts.sort_values("rank").reset_index(drop=True)
@@ -166,26 +172,23 @@ def plan_buffer_assignment(
     return out
 
 
-def density_aware(
-    df: DataFrame,
-    n_chunks: int,
-    *,
-    w: int = 8,
-    max_bits: int = 8,
-    buffer_bits: int = 2,
-    lam: int = 8,
-    tol: float = 0.05,
-) -> DataFrame:
-    """DENSITY-AWARE partitioning (paper §3.4.1, Gray-code buffer order).
+def density_aware(df: DataFrame, n_chunks: int) -> DataFrame:
+    """DENSITY-AWARE partitioning (paper §3.4.1, Gray-code buffer order),
+    with ``plan_buffer_assignment``'s λ and tolerance.
 
-    λ defaults to 8 at mini scale (the paper uses 400 at 100M series and
-    reports stability across a wide λ range). The layout is built once and
-    cached in the session (memory and disk), so the buffer UDF, join and
-    window run once, not per pass; ``unpersist()`` frees it."""
-    df = _with_buffer_col(df, w=w, max_bits=max_bits, buffer_bits=buffer_bits)
-    counts = df.groupBy("buffer").count().toPandas()
+    The layout is built once and cached in the session (memory and disk),
+    so the buffer UDF, join and window run once, not per pass;
+    ``unpersist()`` frees it. Series that differ in length raise
+    ``ValueError``."""
+
+    @F.pandas_udf(T.LongType())
+    def _buffer(series: pd.Series) -> pd.Series:
+        return pd.Series(buffer_words_np(series_matrix(series)))
+
+    df = df.withColumn("buffer", _buffer("series"))
+    counts = to_pandas(df.groupBy("buffer").count())
     check_n_chunks(n_chunks, int(counts["count"].sum()))
-    plan = plan_buffer_assignment(counts, n_chunks, lam=lam, tol=tol)
+    plan = plan_buffer_assignment(counts, n_chunks)
     spark = df.sparkSession
     plan_df = spark.createDataFrame(plan[["buffer", "chunk_id"]].rename(columns={"chunk_id": "planned"}))
     joined = df.join(plan_df, on="buffer", how="left")

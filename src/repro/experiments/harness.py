@@ -4,7 +4,7 @@ Each function runs the real Spark engine to *measure* per-(chunk, query)
 work, feeds the deterministic makespan simulator for cluster-level times,
 and returns a tidy pandas DataFrame (also printed), whose rows are the
 numbers behind the corresponding paper figure/table. Times are reported
-in mega-cost-units (1e6 flop-ish units of measured work / n_threads);
+in mega-cost-units (1e6 flop-ish units of measured work / ``N_THREADS``);
 absolute values are not comparable to the paper's seconds, shapes are.
 """
 from contextlib import contextmanager
@@ -15,18 +15,18 @@ from pyspark.sql import SparkSession
 
 from ..baselines.dmessi import dmessi_search, dmessi_swbsf_search
 from ..baselines.dpisax import dpisax_partition, dpisax_search
+from ..core.search import N_THREADS
 from ..distributed.engine import DistResult, build_only, distributed_search
 from ..distributed.partitioning import density_aware, equally_split
 from ..distributed.replication import ReplicationConfig, supported_degrees
 from ..scheduling.predictor import LinearPredictor, fit_predictor
 from ..scheduling.schedulers import (
     ALL_POLICIES,
-    PREDICT_DN,
     STATIC,
     WORK_STEAL,
     WORK_STEAL_PREDICT,
 )
-from ..scheduling.simulator import simulate_cluster, works_from_stats
+from ..scheduling.simulator import QueryWork, simulate_cluster, works_from_stats
 from ..synth_data import make_queries_np, series_df
 from .datasets import DATASETS
 
@@ -67,14 +67,12 @@ def chunked_df(
         cdf.unpersist()
 
 
-def fit_chunk_predictors(
-    train: DistResult, *, n_threads: int = 8
-) -> dict[int, LinearPredictor]:
+def fit_chunk_predictors(train: DistResult) -> dict[int, LinearPredictor]:
     """Per-chunk linear BSF→cost predictors from a training run."""
     out = {}
     for chunk, grp in train.chunk_stats.groupby("chunk_id"):
         out[int(chunk)] = fit_predictor(
-            grp["approx_bsf"].to_numpy(), grp["total_cost"].to_numpy() / n_threads
+            grp["approx_bsf"].to_numpy(), grp["total_cost"].to_numpy() / N_THREADS
         )
     return out
 
@@ -90,28 +88,18 @@ def chunk_predictions(
     return out
 
 
-def _index_times(stats: pd.DataFrame, *, n_threads: int = 8) -> dict[str, float]:
-    """Buffer/tree/index node-times (max over chunks) from engine stats."""
+def _index_time(stats: pd.DataFrame) -> float:
+    """Index node-time: the largest buffer plus the largest tree build
+    over the chunks, from engine stats."""
     per = stats.groupby("chunk_id")[["buffer_cost", "tree_cost"]].first()
-    buffer_t = float(per["buffer_cost"].max()) / n_threads / UNIT
-    tree_t = float(per["tree_cost"].max()) / n_threads / UNIT
-    return {"buffer_time": buffer_t, "tree_time": tree_t, "index_time": buffer_t + tree_t}
+    buffer_t = float(per["buffer_cost"].max()) / N_THREADS / UNIT
+    tree_t = float(per["tree_cost"].max()) / N_THREADS / UNIT
+    return buffer_t + tree_t
 
 
-def _makespan(
-    result: DistResult,
-    config: ReplicationConfig,
-    policy: str,
-    *,
-    predictions: dict[int, np.ndarray] | None = None,
-    n_threads: int = 8,
-    seed: int = 0,
-):
-    works = works_from_stats(result.chunk_stats, n_threads=n_threads)
-    sim = simulate_cluster(
-        works, config, policy, predictions_by_chunk=predictions, seed=seed
-    )
-    return sim
+def _first_queries(works: dict[int, list[QueryWork]], n_queries: int) -> dict[int, list[QueryWork]]:
+    """The work of queries ``0 .. n_queries - 1`` only, per chunk."""
+    return {c: [w for w in ws if w.query_id < n_queries] for c, ws in works.items()}
 
 
 # ---------------------------------------------------------------- T1 (Table 1)
@@ -147,9 +135,7 @@ def scheduling_experiment(
     n_queries: int = 100,
     n_train: int = 40,
     n_series: int = 3000,
-    length: int = 64,
     policies=tuple(ALL_POLICIES),
-    n_threads: int = 8,
     seed: int = 0,
 ) -> pd.DataFrame:
     """Scheduling policies under FULL replication (seismic-like queries of
@@ -159,15 +145,15 @@ def scheduling_experiment(
     queries, _ = make_queries_np(data, n_queries, seed=seed)
     train_q, _ = make_queries_np(data, n_train, seed=seed + 1000)
     with chunked_df(spark, data, 1) as cdf:
-        train = distributed_search(cdf, train_q, n_threads=n_threads)
-        run = distributed_search(cdf, queries, n_threads=n_threads)
-    predictors = fit_chunk_predictors(train, n_threads=n_threads)
-    preds = chunk_predictions(run, predictors)
+        train = distributed_search(cdf, train_q)
+        run = distributed_search(cdf, queries)
+    preds = chunk_predictions(run, fit_chunk_predictors(train))
+    works = works_from_stats(run.chunk_stats)
     rows = []
     for n in n_nodes_list:
         cfg = ReplicationConfig(n, 1)  # FULL
         for policy in policies:
-            sim = _makespan(run, cfg, policy, predictions=preds, n_threads=n_threads)
+            sim = simulate_cluster(works, cfg, policy, predictions_by_chunk=preds)
             rows.append(
                 {
                     "policy": policy,
@@ -189,7 +175,6 @@ def query_scalability(
     j_list=(1, 2, 4, 8),
     base_queries: int = 100,
     n_series: int = 3000,
-    n_threads: int = 8,
     seed: int = 0,
 ) -> pd.DataFrame:
     """j·base queries on j nodes (FULL, WORK-STEAL) ≈ constant time; plus
@@ -198,21 +183,16 @@ def query_scalability(
     max_q = base_queries * max(j_list)
     queries, _ = make_queries_np(data, max_q, seed=seed)
     with chunked_df(spark, data, 1) as cdf:
-        full = distributed_search(cdf, queries, n_threads=n_threads)
+        full = works_from_stats(distributed_search(cdf, queries).chunk_stats)
     with chunked_df(spark, data, 2) as cdf:
-        part2 = distributed_search(cdf, queries, n_threads=n_threads)
+        part2 = works_from_stats(distributed_search(cdf, queries).chunk_stats)
     rows = []
     for j in j_list:
         n_q = base_queries * j
-        for name, res, k in (("FULL", full, 1), ("PARTIAL-2", part2, 2)):
+        for name, works, k in (("FULL", full, 1), ("PARTIAL-2", part2, 2)):
             if j < k:
                 continue
-            sliced = DistResult(
-                chunk_stats=res.chunk_stats[res.chunk_stats["query_id"] < n_q],
-                answers=res.answers,
-                k=res.k,
-            )
-            sim = _makespan(sliced, ReplicationConfig(j, k), WORK_STEAL, n_threads=n_threads)
+            sim = simulate_cluster(_first_queries(works, n_q), ReplicationConfig(j, k), WORK_STEAL)
             rows.append(
                 {
                     "replication": name,
@@ -234,7 +214,6 @@ def datasize_scalability(
     base_n: int = 1000,
     n_queries: int = 50,
     n_nodes: int = 8,
-    n_threads: int = 8,
     seed: int = 0,
 ) -> pd.DataFrame:
     """Query time for a fixed batch as the dataset grows, 8 nodes, every
@@ -246,8 +225,8 @@ def datasize_scalability(
         queries, _ = make_queries_np(data, n_queries, seed=seed)
         for cfg in supported_degrees(n_nodes):
             with chunked_df(spark, data, cfg.n_chunks) as cdf:
-                res = distributed_search(cdf, queries, n_threads=n_threads)
-            sim = _makespan(res, cfg, WORK_STEAL, n_threads=n_threads)
+                res = distributed_search(cdf, queries)
+            sim = simulate_cluster(works_from_stats(res.chunk_stats), cfg, WORK_STEAL)
             rows.append(
                 {
                     "n_series": n,
@@ -267,17 +246,16 @@ def throughput(
     n_nodes_list=(1, 2, 4, 8, 16),
     n_queries: int = 200,
     n_series: int = 3000,
-    n_threads: int = 8,
     seed: int = 0,
 ) -> pd.DataFrame:
     """WORK-STEAL throughput (queries per unit time) vs nodes, FULL."""
     data = DATASETS["random"].generate(n_series / DATASETS["random"].base_n)[:n_series]
     queries, _ = make_queries_np(data, n_queries, seed=seed)
     with chunked_df(spark, data, 1) as cdf:
-        res = distributed_search(cdf, queries, n_threads=n_threads)
+        works = works_from_stats(distributed_search(cdf, queries).chunk_stats)
     rows = []
     for n in n_nodes_list:
-        sim = _makespan(res, ReplicationConfig(n, 1), WORK_STEAL, n_threads=n_threads)
+        sim = simulate_cluster(works, ReplicationConfig(n, 1), WORK_STEAL)
         rows.append(
             {
                 "n_nodes": n,
@@ -329,7 +307,6 @@ def replication_tradeoff(
     n_series: int = 3000,
     n_nodes: int = 8,
     n_train: int = 40,
-    n_threads: int = 8,
     dataset: str = "seismic",
     seed: int = 0,
 ) -> pd.DataFrame:
@@ -343,20 +320,16 @@ def replication_tradeoff(
     rows = []
     for cfg in supported_degrees(n_nodes):
         with chunked_df(spark, data, cfg.n_chunks) as cdf:
-            train = distributed_search(cdf, train_q, n_threads=n_threads)
-            res = distributed_search(cdf, queries, n_threads=n_threads)
-        predictors = fit_chunk_predictors(train, n_threads=n_threads)
-        preds = chunk_predictions(res, predictors)
-        times = _index_times(res.chunk_stats, n_threads=n_threads)
+            train = distributed_search(cdf, train_q)
+            res = distributed_search(cdf, queries)
+        preds = chunk_predictions(res, fit_chunk_predictors(train))
+        works = works_from_stats(res.chunk_stats)
+        index_time = _index_time(res.chunk_stats)
         for n_q in n_queries_list:
-            sliced = DistResult(
-                chunk_stats=res.chunk_stats[res.chunk_stats["query_id"] < n_q],
-                answers=res.answers,
-                k=res.k,
-            )
             preds_sliced = {c: p[:n_q] for c, p in preds.items()}
-            sim = _makespan(
-                sliced, cfg, WORK_STEAL_PREDICT, predictions=preds_sliced, n_threads=n_threads
+            sim = simulate_cluster(
+                _first_queries(works, n_q), cfg, WORK_STEAL_PREDICT,
+                predictions_by_chunk=preds_sliced,
             )
             q_time = sim.makespan / UNIT
             rows.append(
@@ -364,8 +337,8 @@ def replication_tradeoff(
                     "strategy": cfg.name,
                     "n_queries": n_q,
                     "query_time": q_time,
-                    "index_time": times["index_time"],
-                    "total_time": times["index_time"] + q_time,
+                    "index_time": index_time,
+                    "total_time": index_time + q_time,
                 }
             )
     return _print_table(
@@ -382,7 +355,6 @@ def index_scalability(
     base_n: int = 2000,
     multipliers=(1, 2, 4, 8),
     n_nodes_list=(1, 2, 4, 8, 16),
-    n_threads: int = 8,
     seed: int = 0,
 ) -> pd.DataFrame:
     """Index build scalability (EQUALLY-SPLIT): (a) size sweep at 16 nodes,
@@ -394,14 +366,14 @@ def index_scalability(
         data = deep.generate(n / deep.base_n, seed=seed + mult)[:n]
         with chunked_df(spark, data, 16) as cdf:
             stats = build_only(cdf)
-        t = (stats["buffer_cost"] + stats["tree_cost"]).max() / n_threads / UNIT
+        t = (stats["buffer_cost"] + stats["tree_cost"]).max() / N_THREADS / UNIT
         rows.append({"sweep": "size@16nodes", "n_series": n, "n_nodes": 16, "index_time": t})
     n = base_n * max(multipliers)
     data = deep.generate(n / deep.base_n, seed=seed)[:n]
     for nodes in n_nodes_list:  # (b)
         with chunked_df(spark, data, nodes) as cdf:
             stats = build_only(cdf)
-        t = (stats["buffer_cost"] + stats["tree_cost"]).max() / n_threads / UNIT
+        t = (stats["buffer_cost"] + stats["tree_cost"]).max() / N_THREADS / UNIT
         rows.append({"sweep": "nodes@fixed", "n_series": n, "n_nodes": nodes, "index_time": t})
     rnd = DATASETS["random"]
     for mult in multipliers:  # (c)
@@ -415,7 +387,7 @@ def index_scalability(
                 "sweep": "size+nodes",
                 "n_series": n,
                 "n_nodes": mult,
-                "index_time": (per["buffer_cost"] + per["tree_cost"]) / n_threads / UNIT,
+                "index_time": (per["buffer_cost"] + per["tree_cost"]) / N_THREADS / UNIT,
             }
         )
     return _print_table(pd.DataFrame(rows), "E8: index scalability (paper Fig 17a-c)")
@@ -431,7 +403,6 @@ def competitors(
     n_queries: int = 60,
     n_train: int = 30,
     n_series: int = 3000,
-    n_threads: int = 8,
     dataset: str = "seismic",
     seed: int = 0,
 ) -> tuple[pd.DataFrame, dict[str, DistResult]]:
@@ -448,31 +419,27 @@ def competitors(
 
     # Odyssey FULL + WORK-STEAL-PREDICT
     with chunked_df(spark, data, 1) as cdf:
-        train = distributed_search(cdf, train_q, n_threads=n_threads)
-        res = distributed_search(cdf, queries, n_threads=n_threads)
-    predictors = fit_chunk_predictors(train, n_threads=n_threads)
-    preds = chunk_predictions(res, predictors)
-    sim = _makespan(
-        res, ReplicationConfig(n_nodes, 1), WORK_STEAL_PREDICT,
-        predictions=preds, n_threads=n_threads,
+        train = distributed_search(cdf, train_q)
+        res = distributed_search(cdf, queries)
+    preds = chunk_predictions(res, fit_chunk_predictors(train))
+    sim = simulate_cluster(
+        works_from_stats(res.chunk_stats), ReplicationConfig(n_nodes, 1),
+        WORK_STEAL_PREDICT, predictions_by_chunk=preds,
     )
     results["ODYSSEY-FULL"] = res
     rows.append({"algorithm": "ODYSSEY-FULL", "query_time": sim.makespan / UNIT})
 
     no_rep = ReplicationConfig(n_nodes, n_nodes)
-    for name, scheme, fn, share in (
-        ("ODYSSEY-DENSITY-AWARE", "density", distributed_search, True),
-        ("ODYSSEY-EQUALLY-SPLIT", "equal", distributed_search, True),
-        ("DMESSI", "equal", dmessi_search, None),
-        ("DMESSI-SW-BSF", "equal", dmessi_swbsf_search, None),
-        ("DPISAX", "dpisax", dpisax_search, None),
+    for name, scheme, search in (
+        ("ODYSSEY-DENSITY-AWARE", "density", distributed_search),
+        ("ODYSSEY-EQUALLY-SPLIT", "equal", distributed_search),
+        ("DMESSI", "equal", dmessi_search),
+        ("DMESSI-SW-BSF", "equal", dmessi_swbsf_search),
+        ("DPISAX", "dpisax", dpisax_search),
     ):
-        kwargs = {"n_threads": n_threads}
-        if share is not None:
-            kwargs["share_bsf"] = share
         with chunked_df(spark, data, n_nodes, scheme=scheme) as cdf:
-            res = fn(cdf, queries, **kwargs)
-        sim = _makespan(res, no_rep, STATIC, n_threads=n_threads)
+            res = search(cdf, queries)
+        sim = simulate_cluster(works_from_stats(res.chunk_stats), no_rep, STATIC)
         results[name] = res
         rows.append({"algorithm": name, "query_time": sim.makespan / UNIT})
 
@@ -482,7 +449,28 @@ def competitors(
     return _print_table(df, "E9: comparison to competitors (paper Fig 17d)"), results
 
 
-# ------------------------------------------------------------ E10 (Fig 18)
+# ---------------------------------------------------------- E10/E11 (Fig 18/19)
+
+
+def _replication_ladder(
+    spark: SparkSession, data: np.ndarray, queries: np.ndarray, n_nodes_list, label: dict, **search
+) -> pd.DataFrame:
+    """WORK-STEAL query time of every replication strategy on each node
+    count, one ``distributed_search(**search)`` per chunk count; ``label``
+    columns sit between the strategy and the time."""
+    works: dict[int, dict[int, list[QueryWork]]] = {}
+    rows = []
+    for n in n_nodes_list:
+        for cfg in supported_degrees(n):
+            if cfg.n_chunks not in works:
+                with chunked_df(spark, data, cfg.n_chunks) as cdf:
+                    res = distributed_search(cdf, queries, **search)
+                works[cfg.n_chunks] = works_from_stats(res.chunk_stats)
+            sim = simulate_cluster(works[cfg.n_chunks], cfg, WORK_STEAL)
+            rows.append(
+                {"n_nodes": n, "strategy": cfg.name, **label, "query_time": sim.makespan / UNIT}
+            )
+    return pd.DataFrame(rows)
 
 
 def knn_experiment(
@@ -492,34 +480,13 @@ def knn_experiment(
     n_nodes_list=(2, 4, 8),
     n_queries: int = 30,
     n_series: int = 2000,
-    n_threads: int = 8,
     seed: int = 0,
 ) -> pd.DataFrame:
     """k-NN (k=10) query time vs nodes for each replication strategy."""
     data = DATASETS["random"].generate(n_series / DATASETS["random"].base_n)[:n_series]
     queries, _ = make_queries_np(data, n_queries, seed=seed)
-    rows = []
-    cache: dict[int, DistResult] = {}
-    for n in n_nodes_list:
-        for cfg in supported_degrees(n):
-            if cfg.n_chunks not in cache:
-                with chunked_df(spark, data, cfg.n_chunks) as cdf:
-                    cache[cfg.n_chunks] = distributed_search(
-                        cdf, queries, k=k, n_threads=n_threads
-                    )
-            sim = _makespan(cache[cfg.n_chunks], cfg, WORK_STEAL, n_threads=n_threads)
-            rows.append(
-                {
-                    "n_nodes": n,
-                    "strategy": cfg.name,
-                    "k": k,
-                    "query_time": sim.makespan / UNIT,
-                }
-            )
-    return _print_table(pd.DataFrame(rows), "E10: 10-NN query answering (paper Fig 18)")
-
-
-# ------------------------------------------------------------ E11 (Fig 19)
+    df = _replication_ladder(spark, data, queries, n_nodes_list, {"k": k}, k=k)
+    return _print_table(df, "E10: 10-NN query answering (paper Fig 18)")
 
 
 def dtw_experiment(
@@ -529,28 +496,12 @@ def dtw_experiment(
     n_nodes_list=(2, 4, 8),
     n_queries: int = 20,
     n_series: int = 1500,
-    n_threads: int = 8,
     seed: int = 0,
 ) -> pd.DataFrame:
     """DTW (5% warping) query time vs nodes for each replication strategy."""
     data = DATASETS["random"].generate(n_series / DATASETS["random"].base_n)[:n_series]
     queries, _ = make_queries_np(data, n_queries, seed=seed)
-    rows = []
-    cache: dict[int, DistResult] = {}
-    for n in n_nodes_list:
-        for cfg in supported_degrees(n):
-            if cfg.n_chunks not in cache:
-                with chunked_df(spark, data, cfg.n_chunks) as cdf:
-                    cache[cfg.n_chunks] = distributed_search(
-                        cdf, queries, distance="dtw", warp=warp, n_threads=n_threads
-                    )
-            sim = _makespan(cache[cfg.n_chunks], cfg, WORK_STEAL, n_threads=n_threads)
-            rows.append(
-                {
-                    "n_nodes": n,
-                    "strategy": cfg.name,
-                    "warp": warp,
-                    "query_time": sim.makespan / UNIT,
-                }
-            )
-    return _print_table(pd.DataFrame(rows), "E11: DTW 5% warping (paper Fig 19)")
+    df = _replication_ladder(
+        spark, data, queries, n_nodes_list, {"warp": warp}, distance="dtw", warp=warp
+    )
+    return _print_table(df, "E11: DTW 5% warping (paper Fig 19)")

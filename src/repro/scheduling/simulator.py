@@ -8,7 +8,7 @@ This simulator replays that work on N simulated nodes under a scheduling
 policy, with Odyssey's stealing protocol:
 
 * an idle node (empty queue, nothing left to pull) steals up to
-  ``n_send`` (=4) unstarted PQ tasks from the victim with the most
+  ``N_SEND`` (=4) unstarted PQ tasks from the victim with the most
   remaining stealable work, taking them from the *tail* of the victim's
   queue — the Take-Away property: rightmost queues in the LB-sorted
   array are the most likely still unprocessed;
@@ -17,7 +17,8 @@ policy, with Odyssey's stealing protocol:
   paper observes queue re-creation is cheap relative to processing).
 
 Everything is deterministic given the seed, so experiments are exactly
-reproducible. Time is in node-time cost units (cost / n_threads).
+reproducible. Time is in node-time cost units (cost / ``N_THREADS``, the
+search's threads per node).
 """
 import heapq
 from dataclasses import dataclass, field
@@ -25,10 +26,12 @@ from dataclasses import dataclass, field
 import numpy as np
 import pandas as pd
 
+from ..core.search import N_THREADS
 from ..distributed.replication import ReplicationConfig
 from .schedulers import POLICIES, Policy, dynamic_order, static_assignment
 
-N_SEND_DEFAULT = 4
+#: PQ tasks a thief takes per steal (the paper's N_send)
+N_SEND = 4
 
 
 @dataclass
@@ -44,15 +47,15 @@ class QueryWork:
         return self.serial + float(sum(self.tasks))
 
 
-def works_from_stats(chunk_stats: pd.DataFrame, *, n_threads: int = 8) -> dict[int, list[QueryWork]]:
-    """Convert engine chunk stats into per-chunk QueryWork lists
-    (node-time = cost units / intra-node threads)."""
+def works_from_stats(chunk_stats: pd.DataFrame) -> dict[int, list[QueryWork]]:
+    """Convert engine chunk stats into per-chunk QueryWork lists sorted by
+    query id (node-time = cost units / ``N_THREADS``)."""
     st = chunk_stats.sort_values(["chunk_id", "query_id"])
-    serial = st["t_serial"] / n_threads
+    serial = st["t_serial"] / N_THREADS
     out: dict[int, list[QueryWork]] = {}
     for chunk, qid, ser, pq in zip(st["chunk_id"], st["query_id"], serial, st["pq_costs"]):
         out.setdefault(int(chunk), []).append(
-            QueryWork(query_id=int(qid), serial=float(ser), tasks=np.divide(pq, n_threads).tolist())
+            QueryWork(query_id=int(qid), serial=float(ser), tasks=np.divide(pq, N_THREADS).tolist())
         )
     return out
 
@@ -79,7 +82,6 @@ def simulate_group(
     policy: Policy | str,
     *,
     predictions: np.ndarray | None = None,
-    n_send: int = N_SEND_DEFAULT,
     steal_recreate_frac: float = 0.15,
     seed: int = 0,
 ) -> GroupSimResult:
@@ -134,7 +136,7 @@ def simulate_group(
                 victim = int(rng.choice(np.flatnonzero(loads == loads.max())))
                 stolen: list[tuple[int, int, float]] = []
                 for pos in range(len(queues[victim]) - 1, -1, -1):
-                    if len(stolen) >= n_send:
+                    if len(stolen) >= N_SEND:
                         break
                     kind, qid, cost = queues[victim][pos]
                     if kind == _PQ and cost > 0:
@@ -176,27 +178,16 @@ def simulate_cluster(
     policy: Policy | str,
     *,
     predictions_by_chunk: dict[int, np.ndarray] | None = None,
-    n_send: int = N_SEND_DEFAULT,
-    steal_recreate_frac: float = 0.15,
-    seed: int = 0,
 ) -> ClusterSimResult:
     """Simulate the full PARTIAL-k system: every replication group answers
     the whole batch on its chunk with ``group_size`` replicas; the batch
     makespan is the slowest group (the coordinator needs every group's
-    partial answers)."""
+    partial answers). Group ``c`` steals with seed ``c``."""
     groups: dict[int, GroupSimResult] = {}
     for chunk in range(config.n_chunks):
         works = works_by_chunk.get(chunk, [])
         preds = predictions_by_chunk.get(chunk) if predictions_by_chunk else None
-        groups[chunk] = simulate_group(
-            works,
-            config.group_size,
-            policy,
-            predictions=preds,
-            n_send=n_send,
-            steal_recreate_frac=steal_recreate_frac,
-            seed=seed + chunk,
-        )
+        groups[chunk] = simulate_group(works, config.group_size, policy, predictions=preds, seed=chunk)
     return ClusterSimResult(
         makespan=max((g.makespan for g in groups.values()), default=0.0),
         group_results=groups,

@@ -1,4 +1,6 @@
 """Distributed engine tests: DuckDB-oracle result equality + work stats."""
+from types import SimpleNamespace
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -187,8 +189,7 @@ def test_chunks_run_in_distinct_partitions(setup, scheme, n_chunks):
     data, queries, df, *_ = setup
     worker = engine._make_worker(
         queries[:1], approx_only=True, seeds=None, algorithm="odyssey",
-        distance="ed", warp=0.05, k=1, n_threads=8,
-        index_params=engine.DEFAULT_INDEX_PARAMS,
+        distance="ed", warp=0.05, k=1,
     )
     scan = engine._chunk_scan(
         PARTITIONERS[scheme](df, n_chunks), worker, engine.RESULT_SCHEMA
@@ -274,8 +275,7 @@ def test_grouped_scan_reads_cached_layout(spark, setup, scheme, n_chunks):
     df = series_df(spark, data[1:])  # a layout no other test has cached
     worker = engine._make_worker(
         queries[:1], approx_only=True, seeds=None, algorithm="odyssey",
-        distance="ed", warp=0.05, k=1, n_threads=8,
-        index_params=engine.DEFAULT_INDEX_PARAMS,
+        distance="ed", warp=0.05, k=1,
     )
     scan = engine._chunk_scan(
         PARTITIONERS[scheme](df, n_chunks), worker, engine.RESULT_SCHEMA
@@ -384,6 +384,39 @@ def test_bad_series_rejected(spark, setup, series, message):
         chunked.unpersist()
 
 
+@pytest.mark.parametrize("scheme", sorted(PARTITIONERS))
+def test_ragged_series_rejected_by_every_partitioner(spark, setup, scheme):
+    """A 31-point series among 32-point ones is a driver-side ValueError
+    giving the length range, whether a partitioner's UDF (DENSITY-AWARE,
+    DPiSAX) or the engine's scan (EQUALLY-SPLIT) meets it first."""
+    data, queries, *_ = setup
+    frame = _bad_series_df(spark, data[:100], {42: [0.5] * (L - 1)})
+    with pytest.raises(ValueError, match=f"{LENGTH} 31 to 32"):
+        chunked = PARTITIONERS[scheme](frame, 2)
+        try:
+            distributed_search(chunked, queries[:1])
+        finally:
+            chunked.unpersist()
+
+
+@pytest.mark.parametrize("share_bsf", [True, False])
+@pytest.mark.parametrize("length", [56, 60])
+def test_wrong_query_length_rejected(spark, share_bsf, length):
+    """Queries of another length than the series are a driver-side
+    ValueError from the first pass that scans the chunks, not a numpy
+    error inside a worker."""
+    data = clustered_walks_np(200, 64, seed=7)
+    queries = make_queries_np(data, 2, seed=9)[0][:, :length]
+    chunked = equally_split(series_df(spark, data), 2)
+    try:
+        with pytest.raises(
+            ValueError, match=rf"^chunk [01]: queries have length {length}, series have length 64$"
+        ):
+            distributed_search(chunked, queries, share_bsf=share_bsf)
+    finally:
+        chunked.unpersist()
+
+
 def test_chunk_split_over_partitions_rejected(setup):
     """A scan answers each partition's rows as chunks of their own, so a
     layout whose chunk spans two partitions is rejected, not answered twice."""
@@ -445,6 +478,20 @@ def _merge_reference(stats, k):
     return pool[["query_id", "rank", "nn_dist", "nn_id"]].reset_index(drop=True)
 
 
+def _nn_reference(stats):
+    """The coordinator's 1-NN merge as a plain loop: per query the smallest
+    (distance, id) entry of every chunk's top-k list."""
+    best = {}
+    for _, r in stats.iterrows():
+        for dist, sid in zip(r["topk_dist"], r["topk_id"]):
+            q = int(r["query_id"])
+            best[q] = min(best.get(q, (np.inf, -1)), (float(dist), int(sid)))
+    return pd.DataFrame(
+        [(q, d, i) for q, (d, i) in sorted(best.items())],
+        columns=["query_id", "nn_dist", "nn_id"],
+    )
+
+
 def _seeds_reference(approx, n_queries, k):
     """The k-th best pooled distance per query, as a plain loop."""
     seeds = np.full(n_queries, np.inf)
@@ -481,8 +528,52 @@ def test_vectorised_merge_and_seeds_match_loops(seed):
     pd.testing.assert_frame_equal(
         engine._merge_answers(stats, k), _merge_reference(stats, k)
     )
+    pd.testing.assert_frame_equal(engine._merge_answers(stats, 1), _nn_reference(stats))
     for kk in (1, k):
         np.testing.assert_array_equal(
             engine._seeds_from_approx(stats, n_queries, kk),
             _seeds_reference(stats, n_queries, kk),
         )
+
+
+def test_tracing_contract(setup, monkeypatch):
+    """The benchmark's tracer wraps engine attributes by name, tells the
+    passes apart by ``approx_only`` and reads result columns: every target
+    exists, ``distributed_search`` runs pass 1 with ``approx_only=True``,
+    the seed reduce, pass 2 without it and the merge, and the per-layer
+    table reads only ``RESULT_SCHEMA`` columns."""
+    from e2ebench import tracing
+
+    data, queries, df, *_ = setup
+    chunked = equally_split(df, 2)
+    calls = []
+    for attr in tracing.ENGINE_TARGETS:
+        fn = getattr(engine, attr)
+
+        def record(*args, _attr=attr, _fn=fn, **kwargs):
+            calls.append((_attr, bool(kwargs.get("approx_only"))))
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(engine, attr, record)
+    distributed_search(chunked, queries[:3])
+    assert calls == [
+        ("chunk_search", True),
+        ("_seeds_from_approx", False),
+        ("chunk_search", False),
+        ("_merge_answers", False),
+    ]
+    monkeypatch.undo()
+
+    tracer = tracing.Tracer()
+    tracer.iteration = 0
+    with tracer.patched(engine):
+        res = distributed_search(chunked, queries[:3])
+    assert tracer.missing == set()
+    assert [s["name"] for s in tracer.spans] == [
+        "engine.pass1", "engine.seed_reduce", "engine.pass2", "engine.merge",
+    ]
+    assert all(list(f.columns) == engine.RESULT_SCHEMA.names for *_, f in tracer.frames)
+    # predictor_r2=None also runs the predictor probe over the run's stats
+    it = SimpleNamespace(predictor_r2=None, n_steals=0, sim_imbalance=1.0, searches={"run": res})
+    layers = tracing.iteration_layers(tracer, 0, it, scan_s=1.0)
+    assert all(np.isfinite(v) for v in layers.values())

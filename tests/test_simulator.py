@@ -3,7 +3,9 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.core.search import N_THREADS
 from repro.distributed.replication import ReplicationConfig
+from repro.experiments.harness import _first_queries
 from repro.scheduling.schedulers import ALL_POLICIES
 from repro.scheduling.simulator import (
     QueryWork,
@@ -123,7 +125,7 @@ def test_works_from_stats_roundtrip():
             "pq_costs": [np.array([8.0, 8.0]), np.array([]), np.array([16.0])],
         }
     )
-    works = works_from_stats(stats, n_threads=8)
+    works = works_from_stats(stats)
     assert sorted(works) == [0, 1]
     assert [w.query_id for w in works[0]] == [0, 1]  # sorted by query id
     assert works[0][1].serial == pytest.approx(1.0)
@@ -142,8 +144,9 @@ def _works_reference(chunk_stats, n_threads):
     return out
 
 
-@pytest.mark.parametrize("seed", range(10))
-def test_works_from_stats_matches_loop(seed):
+def _random_chunk_stats(seed):
+    """Engine-like stats: 1-4 chunks, each answering queries 0..m-1 for its
+    own m in 1..7, rows in random order, 0-5 PQ costs per row."""
     rng = np.random.default_rng(seed)
     rows = [
         {
@@ -157,9 +160,23 @@ def test_works_from_stats_matches_loop(seed):
         for c in rng.permutation(int(rng.integers(1, 5)))
         for q in rng.permutation(int(rng.integers(1, 8)))
     ]
-    stats = pd.DataFrame(rows)
-    for n_threads in (1, 3, 8):
-        assert works_from_stats(stats, n_threads=n_threads) == _works_reference(stats, n_threads)
+    return pd.DataFrame(rows)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_works_from_stats_matches_loop(seed):
+    stats = _random_chunk_stats(seed)
+    assert works_from_stats(stats) == _works_reference(stats, N_THREADS)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_first_queries_match_filtered_stats(seed):
+    """The harness converts a search's stats once and slices the works by
+    query id; that equals converting the stats of the first queries."""
+    stats = _random_chunk_stats(seed)
+    works = works_from_stats(stats)
+    for n_q in range(1, stats["query_id"].max() + 2):
+        assert _first_queries(works, n_q) == works_from_stats(stats[stats["query_id"] < n_q])
 
 
 def test_imbalance_metric():
