@@ -15,7 +15,12 @@ from pyspark.sql import types as T
 
 from ..core.isax import MAX_BITS, W, pack_symbols, symbols
 from ..core.paa import paa
-from ..distributed.engine import DistResult, distributed_search, to_pandas
+from ..distributed.engine import (
+    DistResult,
+    distributed_search,
+    drop_zip_finders,
+    to_pandas,
+)
 from ..distributed.partitioning import (
     check_n_chunks,
     cut_index,
@@ -49,6 +54,7 @@ def dpisax_partition(df: DataFrame, n_chunks: int) -> DataFrame:
 
     @F.pandas_udf(T.LongType())
     def _word(series: pd.Series) -> pd.Series:
+        drop_zip_finders()
         return pd.Series(dpisax_words_np(series_matrix(series)))
 
     with_word = df.withColumn("isax_word", _word("series"))

@@ -20,7 +20,12 @@ result row records the partition and Python worker process that produced
 it (``partition_id``, ``worker_pid``); a chunk whose rows come from more
 than one partition is rejected on the driver. A worker rejects a query
 batch whose length is not its chunk's series length, and the driver
-raises that as a ``ValueError``. BSF sharing is a two-pass dataflow:
+raises that as a ``ValueError``; so is a ``k`` above the number of series.
+PySpark starts every task in a reused Python worker by invalidating the
+import caches, which on Python 3.11 makes each cached zip-archive finder
+re-read all of ``pyspark.zip``'s directory (0.13–0.3 s of CPU per task);
+the scan therefore first drops those finders (``drop_zip_finders``), so
+later tasks re-read nothing. BSF sharing is a two-pass dataflow:
 
   pass 1  approximate search per chunk  →  driver reduces to a global
           per-query k-BSF seed (the paper's BSF-sharing channel)
@@ -35,7 +40,9 @@ measured work rather than taken from local Spark timings.
 """
 import os
 import re
+import sys
 import time
+import zipimport
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain
@@ -222,10 +229,30 @@ def _chunk_scan(chunked_df: DataFrame, fn, schema: T.StructType) -> DataFrame:
     arrow_schema = to_arrow_schema(schema)
 
     def scan(batches):
+        drop_zip_finders()
         for chunk_id, ids, data in _chunks(batches):
             yield pa.RecordBatch.from_pydict(fn(chunk_id, ids, data), schema=arrow_schema)
 
     return chunked_df.select("chunk_id", "id", "series").mapInArrow(scan, schema)
+
+
+def drop_zip_finders() -> None:
+    """Delete the zip-archive finders (``zipimport.zipimporter``) cached in
+    the running Python worker's ``sys.path_importer_cache``.
+
+    PySpark invalidates the import caches at the start of every task
+    (``importlib.invalidate_caches()`` in ``worker_util.setup_spark_files``),
+    and Python 3.11's ``zipimporter`` then re-reads its whole archive
+    directory at once: one finder per package directory of ``pyspark.zip``
+    and the py4j zip, 0.13–0.3 s of CPU per task on a 4-core VM, before the
+    task's function starts. With the finders gone, the next task's
+    invalidation has nothing to re-read. The cache holds only finders:
+    modules already imported stay, and Python builds a new finder on the
+    next import from an archive. The chunk scan and the partitioners'
+    pandas UDFs call this first."""
+    for path, finder in list(sys.path_importer_cache.items()):
+        if isinstance(finder, zipimport.zipimporter):
+            del sys.path_importer_cache[path]
 
 
 def _chunks(batches):
@@ -350,6 +377,14 @@ def _check_queries(queries, k: int) -> np.ndarray:
     return queries
 
 
+def _check_k(stats: pd.DataFrame, k: int) -> None:
+    """Reject a ``k`` above the number of series, counted from the first
+    scan's per-chunk ``n_series`` (the series live only in the workers)."""
+    n_series = int(stats.drop_duplicates("chunk_id")["n_series"].sum())
+    if k > n_series:
+        raise ValueError(f"k={k} exceeds the number of series ({n_series})")
+
+
 def distributed_search(
     chunked_df: DataFrame,
     queries: np.ndarray,
@@ -374,18 +409,22 @@ def distributed_search(
             chunked_df, queries, approx_only=True, algorithm=algorithm,
             distance=distance, warp=warp, k=k,
         )
+        _check_k(approx, k)
         seeds = _seeds_from_approx(approx, len(queries), k)
         extra_cost = approx.groupby(["chunk_id", "query_id"])["total_cost"].sum()
     stats = chunk_search(
         chunked_df, queries, seeds=seeds, algorithm=algorithm,
         distance=distance, warp=warp, k=k,
     )
-    if extra_cost is not None:
+    if extra_cost is None:
+        _check_k(stats, k)
+    else:
         # the approximate pass is real work a node performs; fold it into
         # the non-stealable part of the exact pass for the simulator
         key = stats.set_index(["chunk_id", "query_id"]).index
-        stats["t_serial"] = stats["t_serial"].to_numpy() + extra_cost.reindex(key).fillna(0).to_numpy()
-        stats["total_cost"] = stats["total_cost"].to_numpy() + extra_cost.reindex(key).fillna(0).to_numpy()
+        extra = extra_cost.reindex(key).fillna(0).to_numpy()
+        stats["t_serial"] = stats["t_serial"].to_numpy() + extra
+        stats["total_cost"] = stats["total_cost"].to_numpy() + extra
     return DistResult(chunk_stats=stats, answers=_merge_answers(stats, k))
 
 

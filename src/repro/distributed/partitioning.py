@@ -23,7 +23,7 @@ from pyspark.sql import types as T
 
 from ..core.isax import MAX_BITS, W, inverse_gray, pack_symbols, symbols
 from ..core.paa import paa
-from .engine import to_pandas
+from .engine import drop_zip_finders, to_pandas
 
 #: bits per segment of a summarization-buffer word (16-bit words)
 BUFFER_BITS = 2
@@ -183,6 +183,7 @@ def density_aware(df: DataFrame, n_chunks: int) -> DataFrame:
 
     @F.pandas_udf(T.LongType())
     def _buffer(series: pd.Series) -> pd.Series:
+        drop_zip_finders()
         return pd.Series(buffer_words_np(series_matrix(series)))
 
     df = df.withColumn("buffer", _buffer("series"))

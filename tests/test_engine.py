@@ -1,10 +1,14 @@
 """Distributed engine tests: DuckDB-oracle result equality + work stats."""
+import importlib
+import sys
+import zipimport
 from types import SimpleNamespace
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pytest
+from pyspark.sql import types as T
 
 from repro.baselines.dpisax import dpisax_partition
 from repro.distributed import engine
@@ -202,6 +206,97 @@ def test_chunks_run_in_distinct_partitions(setup, scheme, n_chunks):
     assert (stats["worker_pid"] > 0).all()
     plan = scan._jdf.queryExecution().executedPlan().toString()
     assert "hashpartitioning(chunk_id" not in plan
+
+
+ZIP_PROBE = T.StructType(
+    [T.StructField("chunk_id", T.LongType()), T.StructField("n_zip", T.LongType())]
+)
+
+
+def _zip_finders(chunk_id, ids, data):
+    return {
+        "chunk_id": [chunk_id],
+        "n_zip": [
+            sum(isinstance(f, zipimport.zipimporter) for f in sys.path_importer_cache.values())
+        ],
+    }
+
+
+def test_scan_drops_zip_finders(setup):
+    """Every chunk's function runs with no zip-archive finder cached in its
+    worker, so the next task's import-cache invalidation re-reads no
+    archive. The second scan runs in workers the first one used: their
+    first task's own lazy imports may have rebuilt a few finders."""
+    data, queries, df, *_ = setup
+    chunked = equally_split(df, 3)
+    for _ in range(2):
+        counts = engine._chunk_scan(chunked, _zip_finders, ZIP_PROBE).toPandas()
+    assert sorted(counts["chunk_id"]) == [0, 1, 2]
+    assert (counts["n_zip"] == 0).all(), counts
+
+
+#: a pyspark module no worker imports, in a subpackage of a package every
+#: worker has imported from the archive
+UNIMPORTED, PACKAGE = "pyspark.sql.avro.functions", "pyspark.sql"
+
+
+def _import_unimported(chunk_id, ids, data):
+    imported_before = UNIMPORTED in sys.modules
+    package_dir = sys.modules[PACKAGE].__path__[0]
+    finder_before = package_dir in sys.path_importer_cache
+    module = importlib.import_module(UNIMPORTED)
+    return {
+        "chunk_id": [chunk_id],
+        "imported_before": [imported_before],
+        "finder_before": [finder_before],
+        "finder_after": [type(sys.path_importer_cache.get(package_dir)).__name__],
+        "file": [module.__file__],
+    }
+
+
+def test_import_after_dropped_finders(setup):
+    """Dropping the finders drops only caches: a pyspark module the worker
+    has not imported yet still imports from the archive, through the
+    finder of ``pyspark/sql`` that Python builds again."""
+    data, queries, df, *_ = setup
+    schema = T.StructType(
+        [
+            T.StructField("chunk_id", T.LongType()),
+            T.StructField("imported_before", T.BooleanType()),
+            T.StructField("finder_before", T.BooleanType()),
+            T.StructField("finder_after", T.StringType()),
+            T.StructField("file", T.StringType()),
+        ]
+    )
+    chunked = equally_split(df, 3)
+    engine._chunk_scan(chunked, _zip_finders, ZIP_PROBE).toPandas()
+    got = engine._chunk_scan(chunked, _import_unimported, schema).toPandas()
+    assert len(got) == 3
+    assert not got["imported_before"].any()
+    assert not got["finder_before"].any()
+    assert (got["finder_after"] == "zipimporter").all(), got
+    assert got["file"].str.endswith(".zip/pyspark/sql/avro/functions.py").all(), got
+
+
+@pytest.mark.parametrize("share_bsf", [True, False])
+def test_k_up_to_the_number_of_series(spark, setup, share_bsf):
+    """k may reach the number of series, above every chunk's size, and
+    then returns every series per query in oracle order; a larger k is a
+    driver-side ValueError from the first scan."""
+    data, queries, *_ = setup
+    chunked = equally_split(series_df(spark, data[:10]), 3)
+    try:
+        res = distributed_search(chunked, queries[:3], k=10, share_bsf=share_bsf)
+        assert_equivalent(
+            spark.createDataFrame(res.answers),
+            knn_sql(10),
+            series=series_long_pdf(data[:10]),
+            queries=series_long_pdf(queries[:3], id_col="qid"),
+        )
+        with pytest.raises(ValueError, match=r"^k=11 exceeds the number of series \(10\)$"):
+            distributed_search(chunked, queries[:3], k=11, share_bsf=share_bsf)
+    finally:
+        chunked.unpersist()
 
 
 @pytest.mark.parametrize(
