@@ -184,14 +184,13 @@ def exact_search_dtw(
     k: int = 1,
     warp: float = 0.05,
     init_bsf: float = np.inf,
-    n_threads: int = N_THREADS,
-    n_batches: int | None = None,
+    n_batches: int = N_THREADS,
     pq_threshold: int | None = 64,
     sorted_pqs: bool = True,
 ) -> SearchStats:
     """Exact DTW k-NN on one node's index, Odyssey PQ discipline."""
     return pq_search(
-        index, _DtwMetric(index, q, warp), k=k, init_bsf=init_bsf, n_threads=n_threads,
+        index, _DtwMetric(index, q, warp), k=k, init_bsf=init_bsf,
         n_batches=n_batches, pq_threshold=pq_threshold, sorted_pqs=sorted_pqs,
     )
 

@@ -146,14 +146,14 @@ def build_index(
     return index
 
 
-def approx_search(index: ISaxIndex, q: np.ndarray, q_paa: np.ndarray):
-    """Approximate search: best leaf by lower bound, preferring the query's
-    own root subtree (the descent target), then real distances to its members.
+def approx_search(index: ISaxIndex, q: np.ndarray, q_paa: np.ndarray, lbs: np.ndarray):
+    """Approximate search: best leaf by lower bound (``lbs``, the query's
+    ``leaf_lower_bounds``), preferring the query's own root subtree (the
+    descent target), then real distances to its members.
 
     Returns ``(bsf, nn_id, dists, member_ids, cost)`` where ``cost`` is in
     flop-ish units (used by the cost model and the schedulers' predictor).
     """
-    lbs = index.leaf_lower_bounds(q_paa)
     q_syms = symbols(q_paa, index.max_bits)
     rid = int(pack_bits((q_syms >> (index.max_bits - 1)) & 1))
     if rid in index.roots:

@@ -24,10 +24,10 @@ cascade is PAA MINDIST → Euclidean distance (:class:`_EdMetric`); for DTW
 see :mod:`repro.core.dtw`.
 
 The search returns exact work counters and the priority-queue cost
-decomposition, which feed the cluster-level makespan simulator, plus a
-simulated intra-node thread time (greedy list scheduling with the paper's
-helper threshold), since physical threads on the test box are Spark's.
-Supports k-NN (``k`` best-so-far distances) out of the box.
+decomposition (:class:`SearchStats`), which feed the cluster-level
+makespan simulator; :func:`approximate_search` returns the same record for
+phase 1 alone (the distributed operator's first pass). Supports k-NN
+(``k`` best-so-far distances) out of the box.
 """
 import heapq
 from dataclasses import dataclass, field
@@ -40,19 +40,15 @@ from .paa import paa
 
 #: cost units (flop-ish): real distance = L per series, lower bounds = w.
 LEAF_OVERHEAD = 8.0
-#: threads per node: the search's RS-batch count and simulated thread
-#: schedule, and the simulator's and harness's cost-to-node-time divisor
+#: threads per node: the search's RS-batch count, and the simulator's and
+#: harness's cost-to-node-time divisor
 N_THREADS = 8
-#: helpers per RS-batch in the traversal phase (the paper's HelpTH)
-HELP_TH = 2
 
 
 @dataclass
 class SearchStats:
     """Result + work breakdown of one single-node query execution."""
 
-    nn_dist: float
-    nn_id: int
     topk: list  # [(dist, id)] sorted ascending, length <= k
     approx_bsf: float
     leaf_lb: int = 0  # leaf lower-bound computations
@@ -63,33 +59,18 @@ class SearchStats:
     traversal_cost: float = 0.0
     pq_costs: list = field(default_factory=list)
     pq_sizes: list = field(default_factory=list)
-    thread_time: float = 0.0
+
+    @property
+    def nn_dist(self) -> float:
+        return self.topk[0][0]
+
+    @property
+    def nn_id(self) -> int:
+        return self.topk[0][1]
 
     @property
     def total_cost(self) -> float:
         return self.approx_cost + self.traversal_cost + float(sum(self.pq_costs))
-
-
-def list_schedule(costs, n_threads: int) -> float:
-    """Makespan of greedy (Fetch&Add-order) list scheduling."""
-    if not costs:
-        return 0.0
-    clocks = [0.0] * max(1, n_threads)
-    heapq.heapify(clocks)
-    for c in costs:
-        heapq.heappush(clocks, heapq.heappop(clocks) + float(c))
-    return max(clocks)
-
-
-def _traversal_makespan(costs, n_threads: int) -> float:
-    """Traversal phase makespan: idle threads help on a batch, at most
-    ``HELP_TH`` helpers per batch, so a batch's cost is divisible among up
-    to ``1 + HELP_TH`` threads."""
-    if not costs:
-        return 0.0
-    total = float(sum(costs))
-    widest = max(costs) / (1 + HELP_TH)
-    return max(total / max(1, n_threads), widest)
 
 
 class _KBsf:
@@ -161,11 +142,11 @@ class _EdMetric:
         self.leaf_lbs = index.leaf_lower_bounds(self.q_paa)
 
     def approx(self, kbsf):
-        bsf, _, dists, member_ids, cost = approx_search(self.index, self.q, self.q_paa)
+        bsf, _, dists, member_ids, cost = approx_search(
+            self.index, self.q, self.q_paa, self.leaf_lbs
+        )
         kbsf.offer_many(dists, member_ids)
-        # unlike DTW, ED leaves the approximate leaf out of real_series
-        # (its cost is in approx_cost); kept so the ED counters stay put
-        return bsf, 0, cost
+        return bsf, len(member_ids), cost
 
     def refine(self, members: np.ndarray, bound: float):
         index = self.index
@@ -178,9 +159,19 @@ class _EdMetric:
         return np.sqrt(np.einsum("ij,ij->i", diffs, diffs)), survivors, cost
 
 
+def _approx_phase(index: ISaxIndex, metric, kbsf: _KBsf) -> SearchStats:
+    """Phase 1: seed ``kbsf`` with the metric's approximate search; the
+    record holds its answer, the leaf lower bounds and its real distances."""
+    approx_bsf, approx_real, approx_cost = metric.approx(kbsf)
+    return SearchStats(
+        topk=kbsf.topk(), approx_bsf=approx_bsf, leaf_lb=index.n_leaves,
+        real_series=approx_real, approx_cost=approx_cost,
+    )
+
+
 def pq_search(
-    index: ISaxIndex, metric, *, k: int, init_bsf: float, n_threads: int,
-    n_batches: int | None, pq_threshold: int | None, sorted_pqs: bool,
+    index: ISaxIndex, metric, *, k: int, init_bsf: float,
+    n_batches: int, pq_threshold: int | None, sorted_pqs: bool,
 ) -> SearchStats:
     """The search phases over one distance's lower-bound cascade.
 
@@ -188,21 +179,13 @@ def pq_search(
     with ``approx(kbsf) -> (approx_bsf, real distances, cost)`` and scores
     a leaf with ``refine(members, bound) -> (dists, scored members, cost)``.
     """
-    n_batches = n_threads if n_batches is None else n_batches
     kbsf = _KBsf(k, init_bsf)
-    approx_bsf, approx_real, approx_cost = metric.approx(kbsf)
-    stats = SearchStats(
-        nn_dist=np.inf, nn_id=-1, topk=[], approx_bsf=approx_bsf,
-        leaf_lb=index.n_leaves, real_series=approx_real, approx_cost=approx_cost,
-    )
+    stats = _approx_phase(index, metric, kbsf)
 
     # --- tree traversal phase: build the priority queues per RS-batch ---
-    batches = make_batches(index, n_batches)
     bound = kbsf.bound
     pqs: list[list] = []  # each: sorted [(lb, leaf_idx)]
-    batch_costs: list[float] = []
-    for leaves in batches:
-        batch_costs.append(len(leaves) * index.w)
+    for leaves in make_batches(index, n_batches):
         current: list = []
         for leaf_idx in leaves:
             lb = float(metric.leaf_lbs[leaf_idx])
@@ -216,7 +199,8 @@ def pq_search(
         if current:
             current.sort()
             pqs.append(current)
-    stats.traversal_cost = float(sum(batch_costs))
+    # the batches partition the leaves: one leaf lower bound (w) per leaf
+    stats.traversal_cost = float(index.n_leaves * index.w)
     stats.pq_sizes = [len(pq) for pq in pqs]
 
     # --- PQ preprocessing: sort queue array by top-element priority ---
@@ -239,13 +223,14 @@ def pq_search(
         stats.pq_costs.append(cost)
 
     stats.topk = kbsf.topk()
-    stats.nn_dist, stats.nn_id = stats.topk[0]
-    stats.thread_time = (
-        approx_cost / max(1, n_threads)
-        + _traversal_makespan(batch_costs, n_threads)
-        + list_schedule(stats.pq_costs, n_threads)
-    )
     return stats
+
+
+def approximate_search(index: ISaxIndex, q: np.ndarray, *, k: int = 1) -> SearchStats:
+    """Phase 1 alone, under ED: the k best series of the approximate leaf.
+    The distributed operator's first pass, for DTW queries too (banded DTW
+    is at most ED, so the ED answer bounds the DTW one)."""
+    return _approx_phase(index, _EdMetric(index, q), _KBsf(k, np.inf))
 
 
 def exact_search(
@@ -254,14 +239,13 @@ def exact_search(
     *,
     k: int = 1,
     init_bsf: float = np.inf,
-    n_threads: int = N_THREADS,
-    n_batches: int | None = None,
+    n_batches: int = N_THREADS,
     pq_threshold: int | None = 64,
     sorted_pqs: bool = True,
 ) -> SearchStats:
     """Exact k-NN search on one node's index (Odyssey; MESSI baseline via
     ``sorted_pqs=False, pq_threshold=None``)."""
     return pq_search(
-        index, _EdMetric(index, q), k=k, init_bsf=init_bsf, n_threads=n_threads,
+        index, _EdMetric(index, q), k=k, init_bsf=init_bsf,
         n_batches=n_batches, pq_threshold=pq_threshold, sorted_pqs=sorted_pqs,
     )

@@ -24,11 +24,13 @@ raises that as a ``ValueError``; so is a ``k`` above the number of series.
 PySpark starts every task in a reused Python worker by invalidating the
 import caches, which on Python 3.11 makes each cached zip-archive finder
 re-read all of ``pyspark.zip``'s directory (0.13–0.3 s of CPU per task);
-the scan therefore first drops those finders (``drop_zip_finders``), so
-later tasks re-read nothing. BSF sharing is a two-pass dataflow:
+the scan therefore drops those finders (``drop_zip_finders``) before and
+after its chunks, so later tasks re-read nothing. BSF sharing is a
+two-pass dataflow:
 
-  pass 1  approximate search per chunk  →  driver reduces to a global
-          per-query k-BSF seed (the paper's BSF-sharing channel)
+  pass 1  approximate search per chunk (ED, for DTW queries too)  →
+          driver reduces to a global per-query k-BSF seed (the paper's
+          BSF-sharing channel)
   pass 2  exact search seeded with the global BSF (broadcast in the
           task closure)
 
@@ -57,16 +59,13 @@ from pyspark.sql import types as T
 from pyspark.sql.pandas.types import to_arrow_schema
 
 from ..core.dtw import exact_search_dtw
-from ..core.index import approx_search, build_index
-from ..core.paa import paa
-from ..core.search import exact_search
+from ..core.index import build_index
+from ..core.search import SearchStats, approximate_search, exact_search
 
 RESULT_SCHEMA = T.StructType(
     [
         T.StructField("chunk_id", T.LongType()),
         T.StructField("query_id", T.LongType()),
-        T.StructField("nn_dist", T.DoubleType()),
-        T.StructField("nn_id", T.LongType()),
         T.StructField("topk_dist", T.ArrayType(T.DoubleType())),  # ascending
         T.StructField("topk_id", T.ArrayType(T.LongType())),  # ids of topk_dist
         T.StructField("approx_bsf", T.DoubleType()),
@@ -140,44 +139,32 @@ def _make_worker(
         for qi, q in enumerate(queries):
             t1 = time.perf_counter()
             if approx_only:
-                bsf, nn_id, dists, member_ids, cost = approx_search(index, q, paa(q, index.w))
-                order = np.argsort(dists)[:k]
-                row = {
-                    "nn_dist": bsf,
-                    "nn_id": nn_id,
-                    "topk_dist": dists[order],
-                    "topk_id": member_ids[order],
-                    "approx_bsf": bsf,
-                    "t_serial": cost,
-                    "pq_costs": [],
-                    "leaf_lb": index.n_leaves,
-                    "series_lb": 0,
-                    "real_series": len(member_ids),
-                    "total_cost": cost,
-                }
+                st = approximate_search(index, q, k=k)
             else:
                 seed = float(seeds[qi]) if seeds is not None else np.inf
                 st = search(index, q, k=k, init_bsf=seed, **search_kw)
-                row = {
-                    "nn_dist": st.nn_dist,
-                    "nn_id": st.nn_id,
-                    "topk_dist": [d for d, _ in st.topk],
-                    "topk_id": [i for _, i in st.topk],
-                    "approx_bsf": st.approx_bsf,
-                    "t_serial": st.approx_cost + st.traversal_cost,
-                    "pq_costs": st.pq_costs,
-                    "leaf_lb": st.leaf_lb,
-                    "series_lb": st.series_lb,
-                    "real_series": st.real_series,
-                    "total_cost": st.total_cost,
-                }
-            rows.append({**row, "query_id": qi, "elapsed": time.perf_counter() - t1})
+            rows.append({**_query_row(st), "query_id": qi, "elapsed": time.perf_counter() - t1})
         return {
             **{name: [value] * len(rows) for name, value in base.items()},
             **{name: [r[name] for r in rows] for name in _QUERY_FIELDS},
         }
 
     return fn
+
+
+def _query_row(st: SearchStats) -> dict:
+    """The search's part of a query's result row, either pass."""
+    return {
+        "topk_dist": [d for d, _ in st.topk],
+        "topk_id": [i for _, i in st.topk],
+        "approx_bsf": st.approx_bsf,
+        "t_serial": st.approx_cost + st.traversal_cost,
+        "pq_costs": st.pq_costs,
+        "leaf_lb": st.leaf_lb,
+        "series_lb": st.series_lb,
+        "real_series": st.real_series,
+        "total_cost": st.total_cost,
+    }
 
 
 def _build_chunk(chunk_id: int, ids: np.ndarray, data: np.ndarray):
@@ -232,6 +219,9 @@ def _chunk_scan(chunked_df: DataFrame, fn, schema: T.StructType) -> DataFrame:
         drop_zip_finders()
         for chunk_id, ids, data in _chunks(batches):
             yield pa.RecordBatch.from_pydict(fn(chunk_id, ids, data), schema=arrow_schema)
+        # a fresh worker's first Arrow conversion, and the chunk function,
+        # import from the archives after the first drop
+        drop_zip_finders()
 
     return chunked_df.select("chunk_id", "id", "series").mapInArrow(scan, schema)
 
@@ -248,8 +238,8 @@ def drop_zip_finders() -> None:
     task's function starts. With the finders gone, the next task's
     invalidation has nothing to re-read. The cache holds only finders:
     modules already imported stay, and Python builds a new finder on the
-    next import from an archive. The chunk scan and the partitioners'
-    pandas UDFs call this first."""
+    next import from an archive. The chunk scan calls this first and
+    last, the partitioners' pandas UDFs first."""
     for path, finder in list(sys.path_importer_cache.items()):
         if isinstance(finder, zipimport.zipimporter):
             del sys.path_importer_cache[path]

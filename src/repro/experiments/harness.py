@@ -381,14 +381,8 @@ def index_scalability(
         data = rnd.generate(n / rnd.base_n, seed=seed + 10 + mult)[:n]
         with chunked_df(spark, data, mult) as cdf:
             stats = build_only(cdf)
-        per = stats[["buffer_cost", "tree_cost"]].max()
         rows.append(
-            {
-                "sweep": "size+nodes",
-                "n_series": n,
-                "n_nodes": mult,
-                "index_time": (per["buffer_cost"] + per["tree_cost"]) / N_THREADS / UNIT,
-            }
+            {"sweep": "size+nodes", "n_series": n, "n_nodes": mult, "index_time": _index_time(stats)}
         )
     return _print_table(pd.DataFrame(rows), "E8: index scalability (paper Fig 17a-c)")
 

@@ -10,23 +10,15 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
-
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.default_rng(seed)
-
-
-def _znorm_rows(x: np.ndarray, eps: float = 1e-8) -> np.ndarray:
-    mu = x.mean(axis=1, keepdims=True)
-    sd = x.std(axis=1, keepdims=True)
-    return (x - mu) / np.maximum(sd, eps)
+from .core.paa import znorm
 
 
 def random_walk_np(n: int, length: int, *, seed: int = 0) -> np.ndarray:
     """Random-walk series (cumulative Gaussian steps), z-normalised.
 
     This is the paper's "Random" dataset (models stock-market prices)."""
-    g = _rng(seed)
-    return _znorm_rows(np.cumsum(g.standard_normal((n, length)), axis=1))
+    g = np.random.default_rng(seed)
+    return znorm(np.cumsum(g.standard_normal((n, length)), axis=1))
 
 
 def clustered_walks_np(
@@ -47,7 +39,7 @@ def clustered_walks_np(
     concentrates similar series on one node — exactly the pathology the
     paper's DENSITY-AWARE partitioner fixes. This is the "seismic-like"
     dataset of the reproduction."""
-    g = _rng(seed)
+    g = np.random.default_rng(seed)
     ranks = np.arange(1, n_clusters + 1)
     weights = 1.0 / ranks**size_alpha
     weights /= weights.sum()
@@ -61,7 +53,7 @@ def clustered_walks_np(
         template = np.cumsum(g.standard_normal(length))
         noise = np.cumsum(g.standard_normal((sizes[c], length)) * within_scale, axis=1)
         rows.append(template + noise)
-    return _znorm_rows(np.vstack(rows))
+    return znorm(np.vstack(rows))
 
 
 def make_queries_np(
@@ -80,7 +72,7 @@ def make_queries_np(
     kind of query that dominates the makespan in the paper's scheduling
     and work-stealing experiments. Returns ``(queries, meta)`` where meta
     has per-query ``sigma`` and ``is_hard``."""
-    g = _rng(seed)
+    g = np.random.default_rng(seed)
     n, length = data.shape
     queries = np.empty((n_queries, length))
     sigmas = np.empty(n_queries)
@@ -96,7 +88,7 @@ def make_queries_np(
             queries[i] = base + g.standard_normal(length) * s
             sigmas[i] = s
     meta = pd.DataFrame({"query_id": np.arange(n_queries), "sigma": sigmas, "is_hard": hard})
-    return _znorm_rows(queries), meta
+    return znorm(queries), meta
 
 
 def series_df(spark: SparkSession, data: np.ndarray, ids: np.ndarray | None = None) -> DataFrame:

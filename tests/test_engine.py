@@ -1,5 +1,6 @@
 """Distributed engine tests: DuckDB-oracle result equality + work stats."""
 import importlib
+import os
 import sys
 import zipimport
 from types import SimpleNamespace
@@ -9,6 +10,7 @@ import pandas as pd
 import pyarrow as pa
 import pytest
 from pyspark.sql import types as T
+from pyspark.sql.pandas.types import to_arrow_schema
 
 from repro.baselines.dpisax import dpisax_partition
 from repro.distributed import engine
@@ -162,7 +164,7 @@ def test_chunk_search_single_pass(setup):
     data, queries, df, *_ = setup
     stats = chunk_search(equally_split(df, 2), queries[:2], approx_only=True)
     assert len(stats) == 4  # 2 chunks × 2 queries
-    assert (stats["approx_bsf"] == stats["nn_dist"]).all()
+    assert (stats["approx_bsf"] == stats["topk_dist"].str[0]).all()
 
 
 def test_invalid_algorithm_rejected(setup):
@@ -209,28 +211,58 @@ def test_chunks_run_in_distinct_partitions(setup, scheme, n_chunks):
 
 
 ZIP_PROBE = T.StructType(
-    [T.StructField("chunk_id", T.LongType()), T.StructField("n_zip", T.LongType())]
+    [
+        T.StructField("chunk_id", T.LongType()),
+        T.StructField("pid", T.LongType()),
+        T.StructField("n_zip", T.LongType()),
+    ]
 )
+
+#: a pyspark module that only ``_zip_finders`` imports
+SCAN_IMPORT = "pyspark.sql.protobuf.functions"
+
+
+def _n_zip_finders() -> int:
+    return sum(isinstance(f, zipimport.zipimporter) for f in sys.path_importer_cache.values())
 
 
 def _zip_finders(chunk_id, ids, data):
-    return {
-        "chunk_id": [chunk_id],
-        "n_zip": [
-            sum(isinstance(f, zipimport.zipimporter) for f in sys.path_importer_cache.values())
-        ],
-    }
+    """Count the cached zip finders, then import a module from the archive,
+    which caches a finder of its own in a worker that has not imported it."""
+    n_zip = _n_zip_finders()
+    importlib.import_module(SCAN_IMPORT)
+    return {"chunk_id": [chunk_id], "pid": [os.getpid()], "n_zip": [n_zip]}
 
 
-def test_scan_drops_zip_finders(setup):
+def _cached_zip_finders(batches):
+    """A plain Arrow map (no chunk scan, so nothing drops finders): the zip
+    finders cached in the worker when its task starts."""
+    n_zip = _n_zip_finders()
+    for _ in batches:
+        pass
+    yield pa.RecordBatch.from_pydict(
+        {"chunk_id": [-1], "pid": [os.getpid()], "n_zip": [n_zip]},
+        schema=to_arrow_schema(ZIP_PROBE),
+    )
+
+
+def test_scan_drops_zip_finders(spark, setup):
     """Every chunk's function runs with no zip-archive finder cached in its
-    worker, so the next task's import-cache invalidation re-reads no
-    archive. The second scan runs in workers the first one used: their
-    first task's own lazy imports may have rebuilt a few finders."""
+    worker, and the worker holds none after the scan either (whatever the
+    scan imported), so the next task's import-cache invalidation re-reads
+    no archive. The second scan runs in workers the first one used: their
+    first task's own lazy imports may have rebuilt a few finders. The probe
+    after each scan runs many tasks, so that it reaches every idle worker."""
     data, queries, df, *_ = setup
     chunked = equally_split(df, 3)
+    n_probes = 4 * spark.sparkContext.defaultParallelism
+    probes = spark.range(0, n_probes, numPartitions=n_probes)
     for _ in range(2):
         counts = engine._chunk_scan(chunked, _zip_finders, ZIP_PROBE).toPandas()
+        after = probes.mapInArrow(_cached_zip_finders, ZIP_PROBE).toPandas()
+        scanned = after[after["pid"].isin(counts["pid"])]
+        assert len(scanned) > 0, (counts, after)
+        assert (scanned["n_zip"] == 0).all(), (counts, after)
     assert sorted(counts["chunk_id"]) == [0, 1, 2]
     assert (counts["n_zip"] == 0).all(), counts
 
@@ -304,19 +336,21 @@ def test_k_up_to_the_number_of_series(spark, setup, share_bsf):
     [{"k": 1}, {"k": 5}, {"distance": "dtw", "warp": 0.1}],
     ids=["ed-1nn", "ed-5nn", "dtw"],
 )
-def test_parallel_and_serial_chunks_agree(setup, kwargs):
+@pytest.mark.parametrize("scheme", sorted(PARTITIONERS))
+def test_parallel_and_serial_chunks_agree(setup, scheme, kwargs):
     """Running the chunks as parallel tasks never changes an answer or a
-    work counter: compare with all four chunks in one task."""
+    work counter, whatever the layout: compare with all four chunks in one
+    task."""
     data, queries, df, *_ = setup
     q = queries[:2] if kwargs.get("distance") == "dtw" else queries
-    chunked = equally_split(df, 4)
+    chunked = PARTITIONERS[scheme](df, 4)
     parallel = distributed_search(chunked, q, **kwargs).chunk_stats
     serial = distributed_search(chunked.coalesce(1), q, **kwargs).chunk_stats
     assert parallel["partition_id"].nunique() == 4
     assert serial["partition_id"].nunique() == 1
     cols = [
-        "nn_dist", "nn_id", "topk_dist", "topk_id", "leaf_lb", "series_lb",
-        "real_series", "total_cost", "pq_costs",
+        "topk_dist", "topk_id", "leaf_lb", "series_lb", "real_series",
+        "total_cost", "pq_costs",
     ]
     key = ["chunk_id", "query_id"]
     a = parallel.sort_values(key).set_index(key)[cols]

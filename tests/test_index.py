@@ -106,7 +106,10 @@ def test_approx_search_returns_reachable_answer(dataset, index):
     rng = np.random.default_rng(0)
     for _ in range(5):
         q = data[rng.integers(0, len(data))] + rng.normal(0, 0.05, data.shape[1])
-        bsf, nn_id, dists, member_ids, cost = approx_search(index, q, paa(q, index.w))
+        q_paa = paa(q, index.w)
+        bsf, nn_id, dists, member_ids, cost = approx_search(
+            index, q, q_paa, index.leaf_lower_bounds(q_paa)
+        )
         true = np.sqrt(((data - q) ** 2).sum(axis=1))
         assert bsf >= true.min() - 1e-9  # approximate: never better than exact
         assert bsf == pytest.approx(true[nn_id])  # consistent dist/id pair
@@ -116,6 +119,7 @@ def test_approx_search_returns_reachable_answer(dataset, index):
 def test_approx_search_on_own_member_is_exactish(dataset, index):
     ids, data = dataset
     q = data[17]
-    bsf, nn_id, *_ = approx_search(index, q, paa(q, index.w))
+    q_paa = paa(q, index.w)
+    bsf, nn_id, *_ = approx_search(index, q, q_paa, index.leaf_lower_bounds(q_paa))
     assert bsf == pytest.approx(0.0, abs=1e-9)
     assert nn_id == 17

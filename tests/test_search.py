@@ -2,9 +2,10 @@
 import numpy as np
 import pytest
 
-from repro.core.index import build_index
+from repro.core.index import approx_search, build_index
 from repro.core.knn import brute_force_knn
-from repro.core.search import _KBsf, exact_search, list_schedule, make_batches
+from repro.core.paa import paa
+from repro.core.search import _KBsf, approximate_search, exact_search, make_batches
 from repro.synth_data import clustered_walks_np, make_queries_np, random_walk_np
 
 
@@ -101,7 +102,24 @@ def test_counters_are_sane(setup):
     assert st.total_cost == pytest.approx(
         st.approx_cost + st.traversal_cost + sum(st.pq_costs)
     )
-    assert st.thread_time > 0
+
+
+@pytest.mark.parametrize("k", [1, 5])
+def test_approximate_search_is_the_first_phase(setup, k):
+    """approximate_search is exact_search's first phase alone: the k best
+    series of the approximate leaf, whose real distances it counts."""
+    data, ids, index, queries = setup
+    for q in queries:
+        approx = approximate_search(index, q, k=k)
+        full = exact_search(index, q, k=k)
+        q_paa = paa(q, index.w)
+        _, _, dists, member_ids, cost = approx_search(index, q, q_paa, index.leaf_lower_bounds(q_paa))
+        expected = sorted(zip(dists.tolist(), member_ids.tolist()))[:k]
+        assert approx.topk == expected
+        assert approx.approx_bsf == full.approx_bsf == expected[0][0]
+        assert approx.real_series == len(member_ids)
+        assert approx.total_cost == approx.approx_cost == full.approx_cost == cost
+        assert (approx.leaf_lb, approx.series_lb, approx.pq_costs) == (index.n_leaves, 0, [])
 
 
 def test_pruning_reduces_real_distance_work(setup):
@@ -143,22 +161,6 @@ def test_make_batches_respects_root_boundaries(setup):
         roots = {root_of[i] for i in b}
         assert not (roots & seen_roots)  # a root subtree never spans batches
         seen_roots |= roots
-
-
-def test_list_schedule_bounds():
-    costs = [5.0, 1.0, 1.0, 1.0, 1.0, 1.0]
-    span = list_schedule(costs, 2)
-    assert span >= sum(costs) / 2
-    assert span <= sum(costs)
-    assert list_schedule(costs, 1) == pytest.approx(sum(costs))
-    assert list_schedule([], 4) == 0.0
-
-
-def test_more_threads_not_slower(setup):
-    _, _, index, queries = setup
-    t1 = exact_search(index, queries[0], n_threads=1).thread_time
-    t8 = exact_search(index, queries[0], n_threads=8).thread_time
-    assert t8 <= t1 + 1e-9
 
 
 def test_empty_index_search():
@@ -216,34 +218,35 @@ def test_result_independent_of_batch_count(setup):
 
 # Work counters of exact_search on the module fixture, per (query, run):
 # (series_lb, real_series, leaves_processed, pq_costs, top-k ids). Every run
-# also computes the leaf LB of all 58 leaves. ED and DTW share one search
-# loop, so a change to that loop or to the ED cascade must leave all of
-# them as they are.
+# also computes the leaf LB of all 58 leaves; real_series includes the
+# members of the approximate leaf. ED and DTW share one search loop, so a
+# change to that loop or to the ED cascade must leave all of them as they
+# are.
 _PINNED_WORK = {
-    (0, "k1"): (357, 218, 31, [8760, 1976, 776, 1264, 264, 4000, 16], [97]),
-    (0, "k5"): (357, 220, 31, [8760, 1976, 776, 1264, 264, 4128, 16], [97, 1, 152, 93, 113]),
-    (0, "seeded"): (357, 218, 31, [8760, 1976, 776, 1264, 264, 4000, 16], [97]),
-    (0, "messi"): (357, 218, 31, [776, 8760, 1976, 16, 1264, 4000, 264], [97]),
-    (1, "k1"): (284, 36, 19, [2856, 1096, 88, 552, 136], [477]),
-    (1, "k5"): (284, 38, 19, [2984, 1096, 88, 552, 136], [477, 455, 470, 475, 464]),
-    (1, "seeded"): (284, 36, 19, [2856, 1096, 88, 552, 136], [477]),
-    (1, "messi"): (284, 36, 19, [88, 1096, 2856, 552, 136], [477]),
-    (2, "k1"): (53, 1, 4, [320, 200], [536]),
-    (2, "k5"): (159, 58, 16, [3896, 1056, 160, 0, 0, 0, 0, 0], [536, 538, 544, 528, 539]),
-    (2, "seeded"): (53, 1, 4, [320, 200], [536]),
-    (2, "messi"): (53, 1, 4, [200, 320], [536]),
-    (3, "k1"): (165, 58, 11, [4136, 512, 392, 80], [371]),
-    (3, "k5"): (166, 58, 12, [4152, 512, 392, 80], [371, 395, 353, 380, 389]),
-    (3, "seeded"): (165, 58, 11, [4136, 512, 392, 80], [371]),
-    (3, "messi"): (165, 58, 11, [4136, 392, 80, 512], [371]),
-    (4, "k1"): (172, 36, 21, [968, 2152, 200, 112, 368, 48], [485]),
-    (4, "k5"): (199, 39, 23, [1032, 2464, 200, 112, 416, 48, 0], [485, 503, 483, 492, 499]),
-    (4, "seeded"): (172, 36, 21, [968, 2152, 200, 112, 368, 48], [485]),
-    (4, "messi"): (172, 36, 21, [48, 368, 112, 200, 2152, 968], [485]),
-    (5, "k1"): (25, 1, 1, [272], [472]),
-    (5, "k5"): (88, 11, 6, [1256, 200], [472, 464, 467, 477, 449]),
-    (5, "seeded"): (25, 1, 1, [272], [472]),
-    (5, "messi"): (25, 1, 1, [272], [472]),
+    (0, "k1"): (357, 235, 31, [8760, 1976, 776, 1264, 264, 4000, 16], [97]),
+    (0, "k5"): (357, 237, 31, [8760, 1976, 776, 1264, 264, 4128, 16], [97, 1, 152, 93, 113]),
+    (0, "seeded"): (357, 235, 31, [8760, 1976, 776, 1264, 264, 4000, 16], [97]),
+    (0, "messi"): (357, 235, 31, [776, 8760, 1976, 16, 1264, 4000, 264], [97]),
+    (1, "k1"): (284, 61, 19, [2856, 1096, 88, 552, 136], [477]),
+    (1, "k5"): (284, 63, 19, [2984, 1096, 88, 552, 136], [477, 455, 470, 475, 464]),
+    (1, "seeded"): (284, 61, 19, [2856, 1096, 88, 552, 136], [477]),
+    (1, "messi"): (284, 61, 19, [88, 1096, 2856, 552, 136], [477]),
+    (2, "k1"): (53, 26, 4, [320, 200], [536]),
+    (2, "k5"): (159, 83, 16, [3896, 1056, 160, 0, 0, 0, 0, 0], [536, 538, 544, 528, 539]),
+    (2, "seeded"): (53, 26, 4, [320, 200], [536]),
+    (2, "messi"): (53, 26, 4, [200, 320], [536]),
+    (3, "k1"): (165, 79, 11, [4136, 512, 392, 80], [371]),
+    (3, "k5"): (166, 79, 12, [4152, 512, 392, 80], [371, 395, 353, 380, 389]),
+    (3, "seeded"): (165, 79, 11, [4136, 512, 392, 80], [371]),
+    (3, "messi"): (165, 79, 11, [4136, 392, 80, 512], [371]),
+    (4, "k1"): (172, 52, 21, [968, 2152, 200, 112, 368, 48], [485]),
+    (4, "k5"): (199, 55, 23, [1032, 2464, 200, 112, 416, 48, 0], [485, 503, 483, 492, 499]),
+    (4, "seeded"): (172, 52, 21, [968, 2152, 200, 112, 368, 48], [485]),
+    (4, "messi"): (172, 52, 21, [48, 368, 112, 200, 2152, 968], [485]),
+    (5, "k1"): (25, 26, 1, [272], [472]),
+    (5, "k5"): (88, 36, 6, [1256, 200], [472, 464, 467, 477, 449]),
+    (5, "seeded"): (25, 26, 1, [272], [472]),
+    (5, "messi"): (25, 26, 1, [272], [472]),
 }
 
 
