@@ -3,13 +3,5 @@ from repro.experiments.harness import competitors
 
 
 def test_bench_competitors(spark, run_table):
-    df = run_table(
-        "e9_competitors",
-        competitors,
-        spark,
-        n_nodes=8,
-        n_queries=60,
-        n_train=30,
-        n_series=3000,
-    )
+    df = run_table("e9_competitors", competitors, spark)
     assert len(df) == 6

@@ -3,13 +3,5 @@ from repro.experiments.harness import datasize_scalability
 
 
 def test_bench_datasize(spark, run_table):
-    df = run_table(
-        "e4_datasize",
-        datasize_scalability,
-        spark,
-        multipliers=(1, 2, 4, 8),
-        base_n=1000,
-        n_queries=50,
-        n_nodes=8,
-    )
+    df = run_table("e4_datasize", datasize_scalability, spark)
     assert df["n_series"].max() == 8000

@@ -3,13 +3,5 @@ from repro.experiments.harness import dtw_experiment
 
 
 def test_bench_dtw(spark, run_table):
-    df = run_table(
-        "e11_dtw",
-        dtw_experiment,
-        spark,
-        warp=0.05,
-        n_nodes_list=(2, 4, 8),
-        n_queries=20,
-        n_series=1500,
-    )
+    df = run_table("e11_dtw", dtw_experiment, spark)
     assert (df["warp"] == 0.05).all()

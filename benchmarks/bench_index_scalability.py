@@ -3,12 +3,5 @@ from repro.experiments.harness import index_scalability
 
 
 def test_bench_index_scalability(spark, run_table):
-    df = run_table(
-        "e8_index_scalability",
-        index_scalability,
-        spark,
-        base_n=2000,
-        multipliers=(1, 2, 4, 8),
-        n_nodes_list=(1, 2, 4, 8, 16),
-    )
+    df = run_table("e8_index_scalability", index_scalability, spark)
     assert set(df["sweep"]) == {"size@16nodes", "nodes@fixed", "size+nodes"}

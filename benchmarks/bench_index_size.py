@@ -3,5 +3,5 @@ from repro.experiments.harness import index_size_table
 
 
 def test_bench_index_size(spark, run_table):
-    df = run_table("e6_index_size", index_size_table, spark, n_nodes=8, sf=1.0)
+    df = run_table("e6_index_size", index_size_table, spark)
     assert len(df) == 6 * 4

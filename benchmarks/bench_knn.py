@@ -3,13 +3,5 @@ from repro.experiments.harness import knn_experiment
 
 
 def test_bench_knn(spark, run_table):
-    df = run_table(
-        "e10_knn",
-        knn_experiment,
-        spark,
-        k=10,
-        n_nodes_list=(2, 4, 8),
-        n_queries=30,
-        n_series=2000,
-    )
+    df = run_table("e10_knn", knn_experiment, spark)
     assert (df["k"] == 10).all()

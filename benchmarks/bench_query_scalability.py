@@ -3,12 +3,5 @@ from repro.experiments.harness import query_scalability
 
 
 def test_bench_query_scalability(spark, run_table):
-    df = run_table(
-        "e3_query_scalability",
-        query_scalability,
-        spark,
-        j_list=(1, 2, 4, 8),
-        base_queries=100,
-        n_series=3000,
-    )
+    df = run_table("e3_query_scalability", query_scalability, spark)
     assert df["n_queries"].max() == 800

@@ -3,13 +3,5 @@ from repro.experiments.harness import replication_tradeoff
 
 
 def test_bench_replication(spark, run_table):
-    df = run_table(
-        "e7_replication",
-        replication_tradeoff,
-        spark,
-        n_queries_list=(10, 25, 100, 200, 400, 800),
-        n_series=3000,
-        n_nodes=8,
-        n_train=40,
-    )
+    df = run_table("e7_replication", replication_tradeoff, spark)
     assert set(df["strategy"]) == {"FULL", "PARTIAL-2", "PARTIAL-4", "EQUALLY-SPLIT"}

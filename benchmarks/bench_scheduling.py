@@ -3,13 +3,5 @@ from repro.experiments.harness import scheduling_experiment
 
 
 def test_bench_scheduling(spark, run_table):
-    df = run_table(
-        "e2_scheduling",
-        scheduling_experiment,
-        spark,
-        n_nodes_list=(1, 2, 4, 8, 16),
-        n_queries=100,
-        n_train=40,
-        n_series=3000,
-    )
+    df = run_table("e2_scheduling", scheduling_experiment, spark)
     assert set(df["n_nodes"]) == {1, 2, 4, 8, 16}

@@ -3,5 +3,5 @@ from repro.experiments.harness import dataset_table
 
 
 def test_bench_table1(run_table):
-    df = run_table("table1_datasets", dataset_table, 1.0)
+    df = run_table("table1_datasets", dataset_table)
     assert len(df) == 6

@@ -3,12 +3,5 @@ from repro.experiments.harness import throughput
 
 
 def test_bench_throughput(spark, run_table):
-    df = run_table(
-        "e5_throughput",
-        throughput,
-        spark,
-        n_nodes_list=(1, 2, 4, 8, 16),
-        n_queries=200,
-        n_series=3000,
-    )
+    df = run_table("e5_throughput", throughput, spark)
     assert len(df) == 5

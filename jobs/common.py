@@ -1,8 +1,9 @@
 """Shared SparkSession bootstrap for spark-submit entrypoints.
 
 Jobs are thin wrappers over ``repro.experiments.harness`` functions, which
-take a SparkSession and return a DataFrame/pandas table — the same code
-paths the tests and benchmarks exercise.
+take a SparkSession and return a pandas table — the same code paths the
+tests and benchmarks exercise. A job runs its function with the defaults,
+the configuration of its table in ``results/``.
 """
 import argparse
 
@@ -21,7 +22,5 @@ def get_spark(app_name: str) -> SparkSession:
 
 def base_parser(description: str) -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(description=description)
-    p.add_argument("--n-series", type=int, default=3000, help="series per dataset")
-    p.add_argument("--n-queries", type=int, default=100, help="query batch size")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="seed of the generated inputs")
     return p

@@ -1,6 +1,7 @@
 """E9 (paper Fig 17d): Odyssey vs DMESSI, DMESSI-SW-BSF, DPiSAX.
 
-Usage: ``spark-submit jobs/competitors.py [--n-series N] [--n-queries Q]``
+Usage: ``spark-submit jobs/competitors.py [--seed 0]``
+prints the table of ``results/e9_competitors.csv``.
 """
 from common import base_parser, get_spark
 
@@ -10,7 +11,7 @@ from repro.experiments.harness import competitors
 def main() -> None:
     args = base_parser(__doc__).parse_args()
     spark = get_spark("odyssey-competitors")
-    competitors(spark, n_series=args.n_series, n_queries=args.n_queries, seed=args.seed)
+    competitors(spark, seed=args.seed)
     spark.stop()
 
 

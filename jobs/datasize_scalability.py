@@ -1,6 +1,7 @@
 """E4 (paper Fig 12): query time vs dataset size, 8 nodes, all strategies.
 
-Usage: ``spark-submit jobs/datasize_scalability.py [--n-queries Q]``
+Usage: ``spark-submit jobs/datasize_scalability.py [--seed 0]``
+prints the table of ``results/e4_datasize.csv``.
 """
 from common import base_parser, get_spark
 
@@ -10,7 +11,7 @@ from repro.experiments.harness import datasize_scalability
 def main() -> None:
     args = base_parser(__doc__).parse_args()
     spark = get_spark("odyssey-datasize")
-    datasize_scalability(spark, n_queries=args.n_queries, seed=args.seed)
+    datasize_scalability(spark, seed=args.seed)
     spark.stop()
 
 

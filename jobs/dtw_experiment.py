@@ -1,6 +1,7 @@
 """E11 (paper Fig 19): DTW with 5% warping vs nodes × replication.
 
-Usage: ``spark-submit jobs/dtw_experiment.py [--warp 0.05]``
+Usage: ``spark-submit jobs/dtw_experiment.py [--seed 0]``
+prints the table of ``results/e11_dtw.csv``.
 """
 from common import base_parser, get_spark
 
@@ -8,11 +9,9 @@ from repro.experiments.harness import dtw_experiment
 
 
 def main() -> None:
-    p = base_parser(__doc__)
-    p.add_argument("--warp", type=float, default=0.05)
-    args = p.parse_args()
+    args = base_parser(__doc__).parse_args()
     spark = get_spark("odyssey-dtw")
-    dtw_experiment(spark, warp=args.warp, seed=args.seed)
+    dtw_experiment(spark, seed=args.seed)
     spark.stop()
 
 

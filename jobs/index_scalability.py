@@ -1,6 +1,7 @@
 """E8 (paper Fig 17a-c): index build scalability, EQUALLY-SPLIT.
 
-Usage: ``spark-submit jobs/index_scalability.py``
+Usage: ``spark-submit jobs/index_scalability.py [--seed 0]``
+prints the table of ``results/e8_index_scalability.csv``.
 """
 from common import base_parser, get_spark
 

@@ -1,6 +1,7 @@
 """E6 (paper Fig 14): total index size per replication strategy.
 
-Usage: ``spark-submit jobs/index_size.py [--sf 0.5]``
+Usage: ``spark-submit jobs/index_size.py``
+prints the table of ``results/e6_index_size.csv``.
 """
 import argparse
 
@@ -10,11 +11,9 @@ from repro.experiments.harness import index_size_table
 
 
 def main() -> None:
-    p = argparse.ArgumentParser()
-    p.add_argument("--sf", type=float, default=0.5)
-    args = p.parse_args()
+    argparse.ArgumentParser(description=__doc__).parse_args()
     spark = get_spark("odyssey-index-size")
-    index_size_table(spark, sf=args.sf)
+    index_size_table(spark)
     spark.stop()
 
 

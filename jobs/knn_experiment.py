@@ -1,6 +1,7 @@
 """E10 (paper Fig 18): 10-NN query answering vs nodes × replication.
 
-Usage: ``spark-submit jobs/knn_experiment.py [--k 10]``
+Usage: ``spark-submit jobs/knn_experiment.py [--seed 0]``
+prints the table of ``results/e10_knn.csv``.
 """
 from common import base_parser, get_spark
 
@@ -8,11 +9,9 @@ from repro.experiments.harness import knn_experiment
 
 
 def main() -> None:
-    p = base_parser(__doc__)
-    p.add_argument("--k", type=int, default=10)
-    args = p.parse_args()
+    args = base_parser(__doc__).parse_args()
     spark = get_spark("odyssey-knn")
-    knn_experiment(spark, k=args.k, seed=args.seed)
+    knn_experiment(spark, seed=args.seed)
     spark.stop()
 
 

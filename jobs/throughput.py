@@ -1,6 +1,7 @@
 """E5 (paper Fig 13): WORK-STEAL query throughput vs nodes (FULL).
 
-Usage: ``spark-submit jobs/throughput.py [--n-series N] [--n-queries Q]``
+Usage: ``spark-submit jobs/throughput.py [--seed 0]``
+prints the table of ``results/e5_throughput.csv``.
 """
 from common import base_parser, get_spark
 
@@ -10,7 +11,7 @@ from repro.experiments.harness import throughput
 def main() -> None:
     args = base_parser(__doc__).parse_args()
     spark = get_spark("odyssey-throughput")
-    throughput(spark, n_series=args.n_series, n_queries=args.n_queries, seed=args.seed)
+    throughput(spark, seed=args.seed)
     spark.stop()
 
 

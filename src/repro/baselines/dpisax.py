@@ -5,27 +5,19 @@ splits the *iSAX word space* into contiguous ranges of equal sample mass
 — each node indexes one range. Similar series therefore land on the same
 node (the locality the paper's DENSITY-AWARE scheme deliberately avoids).
 Query answering (as in the paper's fair comparison) is MESSI per node
-with local-only BSFs; the coordinator merges the partial answers.
+with local-only BSFs, so a DPiSAX layout is searched with
+``dmessi_search``; the coordinator merges the partial answers.
 """
 import numpy as np
-import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
-from pyspark.sql import types as T
 
-from ..core.isax import MAX_BITS, W, pack_symbols, symbols
-from ..core.paa import paa
-from ..distributed.engine import (
-    DistResult,
-    distributed_search,
-    drop_zip_finders,
-    to_pandas,
-)
+from ..distributed.engine import to_pandas
 from ..distributed.partitioning import (
     check_n_chunks,
     cut_index,
+    isax_word_col,
     one_chunk_per_partition,
-    series_matrix,
 )
 
 #: bits per segment of the sortable iSAX word
@@ -33,12 +25,6 @@ WORD_BITS = 3
 #: share of the words sampled for the cut points, and the sample's seed
 SAMPLE_FRACTION = 0.2
 SAMPLE_SEED = 0
-
-
-def dpisax_words_np(data: np.ndarray) -> np.ndarray:
-    """Sortable iSAX word (top ``WORD_BITS`` per segment, packed)."""
-    syms = symbols(paa(np.asarray(data, dtype=np.float64), W), MAX_BITS)
-    return pack_symbols(syms >> (MAX_BITS - WORD_BITS), WORD_BITS)
 
 
 def dpisax_partition(df: DataFrame, n_chunks: int) -> DataFrame:
@@ -51,13 +37,7 @@ def dpisax_partition(df: DataFrame, n_chunks: int) -> DataFrame:
     (memory and disk), so the iSAX-word UDF runs in set-up only (for the
     sample and for the layout), not per pass; ``unpersist()`` frees it.
     Series that differ in length raise ``ValueError``."""
-
-    @F.pandas_udf(T.LongType())
-    def _word(series: pd.Series) -> pd.Series:
-        drop_zip_finders()
-        return pd.Series(dpisax_words_np(series_matrix(series)))
-
-    with_word = df.withColumn("isax_word", _word("series"))
+    with_word = df.withColumn("isax_word", isax_word_col(WORD_BITS))
     words = to_pandas(with_word.select("id", "isax_word")).sort_values("id")["isax_word"].to_numpy()
     check_n_chunks(n_chunks, len(words))
     size = max(1, round(SAMPLE_FRACTION * len(words)))
@@ -70,11 +50,3 @@ def dpisax_partition(df: DataFrame, n_chunks: int) -> DataFrame:
     chunked = with_word.withColumn("chunk_id", cut_index(F.col("isax_word"), cuts))
     return one_chunk_per_partition(chunked.drop("isax_word"), n_chunks)
 
-
-def dpisax_search(
-    chunked_df: DataFrame, queries: np.ndarray, **kwargs
-) -> DistResult:
-    """DPiSAX query answering: per-node MESSI, local BSFs, merge at end."""
-    return distributed_search(
-        chunked_df, queries, share_bsf=False, algorithm="messi", **kwargs
-    )

@@ -164,9 +164,9 @@ class _DtwMetric:
     def refine(self, members: np.ndarray, bound: float):
         index = self.index
         slb = mindist_env_paa(self.l_hat, self.u_hat, index.paa[members], index.length)
-        keogh_rows = members[slb < bound]
+        keogh_rows = members[slb <= bound]
         keogh = lb_keogh(self.lo, self.hi, index.data[keogh_rows])
-        survivors = keogh_rows[keogh < bound]
+        survivors = keogh_rows[keogh <= bound]
         dists = dtw_batch(self.q, index.data[survivors], self.r)
         cost = (
             LEAF_OVERHEAD

@@ -151,7 +151,7 @@ class _EdMetric:
     def refine(self, members: np.ndarray, bound: float):
         index = self.index
         slb = mindist_paa_paa(self.q_paa, index.paa[members], index.length)
-        survivors = members[slb < bound]
+        survivors = members[slb <= bound]
         cost = LEAF_OVERHEAD + len(members) * index.w + len(survivors) * index.length
         if len(survivors) == 0:  # common on pruned leaves: skip the empty kernel
             return np.empty(0), survivors, cost
@@ -189,7 +189,7 @@ def pq_search(
         current: list = []
         for leaf_idx in leaves:
             lb = float(metric.leaf_lbs[leaf_idx])
-            if lb >= bound:
+            if lb > bound:
                 continue
             current.append((lb, leaf_idx))
             if pq_threshold is not None and len(current) >= pq_threshold:
@@ -211,7 +211,7 @@ def pq_search(
     for pq in pqs:
         cost = 0.0
         for lb, leaf_idx in pq:
-            if lb >= kbsf.bound:
+            if lb > kbsf.bound:
                 break  # queue sorted by lb: the rest is pruned too
             members = index.leaves[leaf_idx].members
             dists, scored, leaf_cost = metric.refine(members, kbsf.bound)

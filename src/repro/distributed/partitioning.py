@@ -116,11 +116,23 @@ def series_matrix(series: pd.Series) -> np.ndarray:
     return np.stack(series.to_numpy())
 
 
-def buffer_words_np(data: np.ndarray) -> np.ndarray:
-    """Summarization-buffer word per series: top ``BUFFER_BITS`` bits of
-    each segment's symbol, packed into one integer."""
+def isax_words_np(data: np.ndarray, bits: int) -> np.ndarray:
+    """Sortable iSAX word per series: the top ``bits`` bits of each
+    segment's symbol, packed into one integer."""
     syms = symbols(paa(np.asarray(data, dtype=np.float64), W), MAX_BITS)
-    return pack_symbols(syms >> (MAX_BITS - BUFFER_BITS), BUFFER_BITS)
+    return pack_symbols(syms >> (MAX_BITS - bits), bits)
+
+
+def isax_word_col(bits: int) -> Column:
+    """The ``isax_words_np`` word of each row's ``series``, from a pandas
+    UDF. Series that differ in length raise ``ValueError``."""
+
+    @F.pandas_udf(T.LongType())
+    def _word(series: pd.Series) -> pd.Series:
+        drop_zip_finders()
+        return pd.Series(isax_words_np(series_matrix(series), bits))
+
+    return _word("series")
 
 
 def plan_buffer_assignment(
@@ -180,13 +192,7 @@ def density_aware(df: DataFrame, n_chunks: int) -> DataFrame:
     so the buffer UDF, join and window run once, not per pass;
     ``unpersist()`` frees it. Series that differ in length raise
     ``ValueError``."""
-
-    @F.pandas_udf(T.LongType())
-    def _buffer(series: pd.Series) -> pd.Series:
-        drop_zip_finders()
-        return pd.Series(buffer_words_np(series_matrix(series)))
-
-    df = df.withColumn("buffer", _buffer("series"))
+    df = df.withColumn("buffer", isax_word_col(BUFFER_BITS))
     counts = to_pandas(df.groupBy("buffer").count())
     check_n_chunks(n_chunks, int(counts["count"].sum()))
     plan = plan_buffer_assignment(counts, n_chunks)

@@ -1,5 +1,9 @@
 """Experiment harness — one function per evaluation table (DESIGN.md §4).
 
+A function's defaults are its table's only configuration: the bench that
+writes ``results/*.csv`` and the job under ``jobs/`` both call it with
+them, and the tests call it at small sizes.
+
 Each function runs the real Spark engine to *measure* per-(chunk, query)
 work, feeds the deterministic makespan simulator for cluster-level times,
 and returns a tidy pandas DataFrame (also printed), whose rows are the
@@ -14,7 +18,7 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from ..baselines.dmessi import dmessi_search, dmessi_swbsf_search
-from ..baselines.dpisax import dpisax_partition, dpisax_search
+from ..baselines.dpisax import dpisax_partition
 from ..core.search import N_THREADS
 from ..distributed.engine import DistResult, build_only, distributed_search
 from ..distributed.partitioning import density_aware, equally_split
@@ -89,12 +93,40 @@ def chunk_predictions(
 
 
 def _index_time(stats: pd.DataFrame) -> float:
-    """Index node-time: the largest buffer plus the largest tree build
-    over the chunks, from engine stats."""
+    """Index node-time from engine stats: each node builds its own chunk's
+    index, buffers then tree, with no barrier between the two phases across
+    nodes, so the slowest chunk's buffer plus tree cost."""
     per = stats.groupby("chunk_id")[["buffer_cost", "tree_cost"]].first()
-    buffer_t = float(per["buffer_cost"].max()) / N_THREADS / UNIT
-    tree_t = float(per["tree_cost"].max()) / N_THREADS / UNIT
-    return buffer_t + tree_t
+    return float((per["buffer_cost"] + per["tree_cost"]).max()) / N_THREADS / UNIT
+
+
+def _dataset(key: str, n: int, seed: int | None = None) -> np.ndarray:
+    """The first ``n`` series of dataset ``key`` generated at scale
+    ``n / base_n``, under the dataset's own seed unless ``seed`` is given."""
+    spec = DATASETS[key]
+    return spec.generate(n / spec.base_n, seed=seed)[:n]
+
+
+def _measured_run(
+    spark: SparkSession,
+    data: np.ndarray,
+    n_chunks: int,
+    queries: np.ndarray,
+    train: np.ndarray | None = None,
+    *,
+    scheme: str = "equal",
+    search=distributed_search,
+    **search_args,
+) -> tuple[DistResult, dict[int, list[QueryWork]], dict[int, np.ndarray] | None]:
+    """Lay ``data`` out in ``n_chunks`` chunks under ``scheme``, answer the
+    ``train`` batch (if any) and then ``queries`` with ``search``. Returns
+    the batch's result, its works and the per-chunk predictions fitted on
+    the training batch (None without one)."""
+    with chunked_df(spark, data, n_chunks, scheme=scheme) as cdf:
+        fitted = None if train is None else search(cdf, train, **search_args)
+        res = search(cdf, queries, **search_args)
+    preds = None if fitted is None else chunk_predictions(res, fit_chunk_predictors(fitted))
+    return res, works_from_stats(res.chunk_stats), preds
 
 
 def _first_queries(works: dict[int, list[QueryWork]], n_queries: int) -> dict[int, list[QueryWork]]:
@@ -135,24 +167,18 @@ def scheduling_experiment(
     n_queries: int = 100,
     n_train: int = 40,
     n_series: int = 3000,
-    policies=tuple(ALL_POLICIES),
     seed: int = 0,
 ) -> pd.DataFrame:
     """Scheduling policies under FULL replication (seismic-like queries of
     varying difficulty), makespan vs number of nodes."""
-    data = DATASETS["seismic"].generate(n_series / DATASETS["seismic"].base_n)
-    data = data[:n_series]
+    data = _dataset("seismic", n_series)
     queries, _ = make_queries_np(data, n_queries, seed=seed)
     train_q, _ = make_queries_np(data, n_train, seed=seed + 1000)
-    with chunked_df(spark, data, 1) as cdf:
-        train = distributed_search(cdf, train_q)
-        run = distributed_search(cdf, queries)
-    preds = chunk_predictions(run, fit_chunk_predictors(train))
-    works = works_from_stats(run.chunk_stats)
+    _, works, preds = _measured_run(spark, data, 1, queries, train_q)
     rows = []
     for n in n_nodes_list:
         cfg = ReplicationConfig(n, 1)  # FULL
-        for policy in policies:
+        for policy in ALL_POLICIES:
             sim = simulate_cluster(works, cfg, policy, predictions_by_chunk=preds)
             rows.append(
                 {
@@ -179,13 +205,11 @@ def query_scalability(
 ) -> pd.DataFrame:
     """j·base queries on j nodes (FULL, WORK-STEAL) ≈ constant time; plus
     the PARTIAL-2 variant for j ≥ 2."""
-    data = DATASETS["random"].generate(n_series / DATASETS["random"].base_n)[:n_series]
+    data = _dataset("random", n_series)
     max_q = base_queries * max(j_list)
     queries, _ = make_queries_np(data, max_q, seed=seed)
-    with chunked_df(spark, data, 1) as cdf:
-        full = works_from_stats(distributed_search(cdf, queries).chunk_stats)
-    with chunked_df(spark, data, 2) as cdf:
-        part2 = works_from_stats(distributed_search(cdf, queries).chunk_stats)
+    _, full, _ = _measured_run(spark, data, 1, queries)
+    _, part2, _ = _measured_run(spark, data, 2, queries)
     rows = []
     for j in j_list:
         n_q = base_queries * j
@@ -221,12 +245,11 @@ def datasize_scalability(
     rows = []
     for mult in multipliers:
         n = base_n * mult
-        data = DATASETS["random"].generate(n / DATASETS["random"].base_n, seed=seed + mult)[:n]
+        data = _dataset("random", n, seed + mult)
         queries, _ = make_queries_np(data, n_queries, seed=seed)
         for cfg in supported_degrees(n_nodes):
-            with chunked_df(spark, data, cfg.n_chunks) as cdf:
-                res = distributed_search(cdf, queries)
-            sim = simulate_cluster(works_from_stats(res.chunk_stats), cfg, WORK_STEAL)
+            _, works, _ = _measured_run(spark, data, cfg.n_chunks, queries)
+            sim = simulate_cluster(works, cfg, WORK_STEAL)
             rows.append(
                 {
                     "n_series": n,
@@ -249,10 +272,9 @@ def throughput(
     seed: int = 0,
 ) -> pd.DataFrame:
     """WORK-STEAL throughput (queries per unit time) vs nodes, FULL."""
-    data = DATASETS["random"].generate(n_series / DATASETS["random"].base_n)[:n_series]
+    data = _dataset("random", n_series)
     queries, _ = make_queries_np(data, n_queries, seed=seed)
-    with chunked_df(spark, data, 1) as cdf:
-        works = works_from_stats(distributed_search(cdf, queries).chunk_stats)
+    _, works, _ = _measured_run(spark, data, 1, queries)
     rows = []
     for n in n_nodes_list:
         sim = simulate_cluster(works, ReplicationConfig(n, 1), WORK_STEAL)
@@ -273,7 +295,7 @@ def index_size_table(
     spark: SparkSession,
     *,
     n_nodes: int = 8,
-    sf: float = 0.5,
+    sf: float = 1.0,
     datasets=("seismic", "astro", "deep", "sift", "yantti", "random"),
 ) -> pd.DataFrame:
     """Total index size per replication strategy (8 nodes), per dataset."""
@@ -303,27 +325,21 @@ def index_size_table(
 def replication_tradeoff(
     spark: SparkSession,
     *,
-    n_queries_list=(100, 200, 400, 800),
+    n_queries_list=(10, 25, 100, 200, 400, 800),
     n_series: int = 3000,
     n_nodes: int = 8,
     n_train: int = 40,
-    dataset: str = "seismic",
     seed: int = 0,
 ) -> pd.DataFrame:
     """Query time vs total (index + query) time across replication
     strategies and batch sizes, WORK-STEAL-PREDICT."""
-    spec = DATASETS[dataset]
-    data = spec.generate(n_series / spec.base_n, seed=seed)[:n_series]
+    data = _dataset("seismic", n_series, seed)
     max_q = max(n_queries_list)
     queries, _ = make_queries_np(data, max_q, seed=seed)
     train_q, _ = make_queries_np(data, n_train, seed=seed + 1000)
     rows = []
     for cfg in supported_degrees(n_nodes):
-        with chunked_df(spark, data, cfg.n_chunks) as cdf:
-            train = distributed_search(cdf, train_q)
-            res = distributed_search(cdf, queries)
-        preds = chunk_predictions(res, fit_chunk_predictors(train))
-        works = works_from_stats(res.chunk_stats)
+        res, works, preds = _measured_run(spark, data, cfg.n_chunks, queries, train_q)
         index_time = _index_time(res.chunk_stats)
         for n_q in n_queries_list:
             preds_sliced = {c: p[:n_q] for c, p in preds.items()}
@@ -359,31 +375,17 @@ def index_scalability(
 ) -> pd.DataFrame:
     """Index build scalability (EQUALLY-SPLIT): (a) size sweep at 16 nodes,
     (b) node sweep at fixed size, (c) size and nodes growing together."""
-    rows = []
-    deep = DATASETS["deep"]
-    for mult in multipliers:  # (a)
-        n = base_n * mult
-        data = deep.generate(n / deep.base_n, seed=seed + mult)[:n]
-        with chunked_df(spark, data, 16) as cdf:
-            stats = build_only(cdf)
-        t = (stats["buffer_cost"] + stats["tree_cost"]).max() / N_THREADS / UNIT
-        rows.append({"sweep": "size@16nodes", "n_series": n, "n_nodes": 16, "index_time": t})
+    def build(sweep: str, key: str, n: int, data_seed: int, n_nodes: int) -> dict:
+        with chunked_df(spark, _dataset(key, n, data_seed), n_nodes) as cdf:
+            t = _index_time(build_only(cdf))
+        return {"sweep": sweep, "n_series": n, "n_nodes": n_nodes, "index_time": t}
+
     n = base_n * max(multipliers)
-    data = deep.generate(n / deep.base_n, seed=seed)[:n]
-    for nodes in n_nodes_list:  # (b)
-        with chunked_df(spark, data, nodes) as cdf:
-            stats = build_only(cdf)
-        t = (stats["buffer_cost"] + stats["tree_cost"]).max() / N_THREADS / UNIT
-        rows.append({"sweep": "nodes@fixed", "n_series": n, "n_nodes": nodes, "index_time": t})
-    rnd = DATASETS["random"]
-    for mult in multipliers:  # (c)
-        n = base_n * mult
-        data = rnd.generate(n / rnd.base_n, seed=seed + 10 + mult)[:n]
-        with chunked_df(spark, data, mult) as cdf:
-            stats = build_only(cdf)
-        rows.append(
-            {"sweep": "size+nodes", "n_series": n, "n_nodes": mult, "index_time": _index_time(stats)}
-        )
+    rows = (
+        [build("size@16nodes", "deep", base_n * m, seed + m, 16) for m in multipliers]  # (a)
+        + [build("nodes@fixed", "deep", n, seed, nodes) for nodes in n_nodes_list]  # (b)
+        + [build("size+nodes", "random", base_n * m, seed + 10 + m, m) for m in multipliers]  # (c)
+    )
     return _print_table(pd.DataFrame(rows), "E8: index scalability (paper Fig 17a-c)")
 
 
@@ -397,14 +399,12 @@ def competitors(
     n_queries: int = 60,
     n_train: int = 30,
     n_series: int = 3000,
-    dataset: str = "seismic",
     seed: int = 0,
 ) -> tuple[pd.DataFrame, dict[str, DistResult]]:
     """Odyssey (FULL / DENSITY-AWARE / EQUALLY-SPLIT) vs DMESSI,
     DMESSI-SW-BSF and DPiSAX. Returns the table and the raw results so
     tests can check all algorithms agree on the answers."""
-    spec = DATASETS[dataset]
-    data = spec.generate(n_series / spec.base_n, seed=seed)[:n_series]
+    data = _dataset("seismic", n_series, seed)
     queries, _ = make_queries_np(data, n_queries, seed=seed)
     train_q, _ = make_queries_np(data, n_train, seed=seed + 1000)
 
@@ -412,28 +412,24 @@ def competitors(
     rows = []
 
     # Odyssey FULL + WORK-STEAL-PREDICT
-    with chunked_df(spark, data, 1) as cdf:
-        train = distributed_search(cdf, train_q)
-        res = distributed_search(cdf, queries)
-    preds = chunk_predictions(res, fit_chunk_predictors(train))
+    res, works, preds = _measured_run(spark, data, 1, queries, train_q)
     sim = simulate_cluster(
-        works_from_stats(res.chunk_stats), ReplicationConfig(n_nodes, 1),
-        WORK_STEAL_PREDICT, predictions_by_chunk=preds,
+        works, ReplicationConfig(n_nodes, 1), WORK_STEAL_PREDICT, predictions_by_chunk=preds
     )
     results["ODYSSEY-FULL"] = res
     rows.append({"algorithm": "ODYSSEY-FULL", "query_time": sim.makespan / UNIT})
 
     no_rep = ReplicationConfig(n_nodes, n_nodes)
+    # DPiSAX answers queries as DMESSI does: MESSI per node, local BSFs
     for name, scheme, search in (
         ("ODYSSEY-DENSITY-AWARE", "density", distributed_search),
         ("ODYSSEY-EQUALLY-SPLIT", "equal", distributed_search),
         ("DMESSI", "equal", dmessi_search),
         ("DMESSI-SW-BSF", "equal", dmessi_swbsf_search),
-        ("DPISAX", "dpisax", dpisax_search),
+        ("DPISAX", "dpisax", dmessi_search),
     ):
-        with chunked_df(spark, data, n_nodes, scheme=scheme) as cdf:
-            res = search(cdf, queries)
-        sim = simulate_cluster(works_from_stats(res.chunk_stats), no_rep, STATIC)
+        res, works, _ = _measured_run(spark, data, n_nodes, queries, scheme=scheme, search=search)
+        sim = simulate_cluster(works, no_rep, STATIC)
         results[name] = res
         rows.append({"algorithm": name, "query_time": sim.makespan / UNIT})
 
@@ -447,19 +443,20 @@ def competitors(
 
 
 def _replication_ladder(
-    spark: SparkSession, data: np.ndarray, queries: np.ndarray, n_nodes_list, label: dict, **search
+    spark: SparkSession, data: np.ndarray, queries: np.ndarray, n_nodes_list, label: dict,
+    **search_args,
 ) -> pd.DataFrame:
     """WORK-STEAL query time of every replication strategy on each node
-    count, one ``distributed_search(**search)`` per chunk count; ``label``
+    count, one ``distributed_search(**search_args)`` per chunk count; ``label``
     columns sit between the strategy and the time."""
     works: dict[int, dict[int, list[QueryWork]]] = {}
     rows = []
     for n in n_nodes_list:
         for cfg in supported_degrees(n):
             if cfg.n_chunks not in works:
-                with chunked_df(spark, data, cfg.n_chunks) as cdf:
-                    res = distributed_search(cdf, queries, **search)
-                works[cfg.n_chunks] = works_from_stats(res.chunk_stats)
+                _, works[cfg.n_chunks], _ = _measured_run(
+                    spark, data, cfg.n_chunks, queries, **search_args
+                )
             sim = simulate_cluster(works[cfg.n_chunks], cfg, WORK_STEAL)
             rows.append(
                 {"n_nodes": n, "strategy": cfg.name, **label, "query_time": sim.makespan / UNIT}
@@ -477,7 +474,7 @@ def knn_experiment(
     seed: int = 0,
 ) -> pd.DataFrame:
     """k-NN (k=10) query time vs nodes for each replication strategy."""
-    data = DATASETS["random"].generate(n_series / DATASETS["random"].base_n)[:n_series]
+    data = _dataset("random", n_series)
     queries, _ = make_queries_np(data, n_queries, seed=seed)
     df = _replication_ladder(spark, data, queries, n_nodes_list, {"k": k}, k=k)
     return _print_table(df, "E10: 10-NN query answering (paper Fig 18)")
@@ -493,7 +490,7 @@ def dtw_experiment(
     seed: int = 0,
 ) -> pd.DataFrame:
     """DTW (5% warping) query time vs nodes for each replication strategy."""
-    data = DATASETS["random"].generate(n_series / DATASETS["random"].base_n)[:n_series]
+    data = _dataset("random", n_series)
     queries, _ = make_queries_np(data, n_queries, seed=seed)
     df = _replication_ladder(
         spark, data, queries, n_nodes_list, {"warp": warp}, distance="dtw", warp=warp

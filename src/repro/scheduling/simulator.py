@@ -182,11 +182,14 @@ def simulate_cluster(
     """Simulate the full PARTIAL-k system: every replication group answers
     the whole batch on its chunk with ``group_size`` replicas; the batch
     makespan is the slowest group (the coordinator needs every group's
-    partial answers). Group ``c`` steals with seed ``c``."""
+    partial answers). Group ``c`` steals with seed ``c``. A chunk with no
+    rows has no works and, when predictions are passed, none to predict."""
     groups: dict[int, GroupSimResult] = {}
     for chunk in range(config.n_chunks):
         works = works_by_chunk.get(chunk, [])
-        preds = predictions_by_chunk.get(chunk) if predictions_by_chunk else None
+        preds = None
+        if predictions_by_chunk is not None:
+            preds = predictions_by_chunk.get(chunk, np.empty(0))
         groups[chunk] = simulate_group(works, config.group_size, policy, predictions=preds, seed=chunk)
     return ClusterSimResult(
         makespan=max((g.makespan for g in groups.values()), default=0.0),

@@ -4,9 +4,9 @@ import pandas as pd
 import pytest
 
 from repro.baselines.dmessi import dmessi_search, dmessi_swbsf_search
-from repro.baselines.dpisax import dpisax_partition, dpisax_search, dpisax_words_np
+from repro.baselines.dpisax import WORD_BITS, dpisax_partition
 from repro.distributed.engine import distributed_search
-from repro.distributed.partitioning import equally_split
+from repro.distributed.partitioning import equally_split, isax_words_np
 from repro.oracle import assert_equivalent
 from repro.synth_data import (
     clustered_walks_np,
@@ -35,7 +35,7 @@ def test_all_algorithms_agree_on_answers(spark, setup):
         "odyssey": distributed_search(eq4, queries).answers,
         "dmessi": dmessi_search(eq4, queries).answers,
         "dmessi_sw": dmessi_swbsf_search(eq4, queries).answers,
-        "dpisax": dpisax_search(dpisax_partition(df, 4), queries).answers,
+        "dpisax": dmessi_search(dpisax_partition(df, 4), queries).answers,
     }
     base = answers["odyssey"]
     for name, ans in answers.items():
@@ -58,7 +58,7 @@ def test_dmessi_matches_oracle(spark, setup):
 
 def test_dpisax_matches_oracle(spark, setup):
     data, queries, df = setup
-    res = dpisax_search(dpisax_partition(df, 4), queries)
+    res = dmessi_search(dpisax_partition(df, 4), queries)
     assert_equivalent(
         spark.createDataFrame(res.answers),
         NN_SQL,
@@ -80,7 +80,7 @@ def test_dmessi_does_more_work_than_odyssey(setup):
 def test_dpisax_partition_is_word_range(setup):
     data, _, df = setup
     pdf = dpisax_partition(df, 4).select("id", "chunk_id").toPandas().sort_values("id")
-    words = dpisax_words_np(data)
+    words = isax_words_np(data, WORD_BITS)
     chunks = pdf["chunk_id"].to_numpy()
     # contiguous ranges in word space: per-chunk [min,max] do not overlap
     ranges = {}
@@ -111,7 +111,9 @@ def test_dpisax_concentrates_similar_series(setup):
 
 def test_dpisax_words_deterministic():
     data = clustered_walks_np(40, 32, seed=3)
-    np.testing.assert_array_equal(dpisax_words_np(data), dpisax_words_np(data))
+    np.testing.assert_array_equal(
+        isax_words_np(data, WORD_BITS), isax_words_np(data, WORD_BITS)
+    )
 
 
 def test_dpisax_cuts_do_not_depend_on_input_partitions(setup):

@@ -13,13 +13,19 @@ from pyspark.sql import types as T
 from pyspark.sql.pandas.types import to_arrow_schema
 
 from repro.baselines.dpisax import dpisax_partition
+from repro.core.isax import W
 from repro.distributed import engine
 from repro.distributed.engine import build_only, chunk_search, distributed_search
 from repro.distributed.partitioning import density_aware, equally_split
+from repro.distributed.replication import ReplicationConfig
+from repro.experiments.harness import chunk_predictions, fit_chunk_predictors
 from repro.oracle import assert_equivalent
+from repro.scheduling.schedulers import ALL_POLICIES
+from repro.scheduling.simulator import simulate_cluster, works_from_stats
 from repro.synth_data import (
     clustered_walks_np,
     make_queries_np,
+    random_walk_np,
     series_df,
     series_long_pdf,
 )
@@ -329,6 +335,89 @@ def test_k_up_to_the_number_of_series(spark, setup, share_bsf):
             distributed_search(chunked, queries[:3], k=11, share_bsf=share_bsf)
     finally:
         chunked.unpersist()
+
+
+def _step_series(levels: np.ndarray) -> np.ndarray:
+    """Series constant over each of the index's ``W`` PAA segments, at the
+    given integer levels: a series' PAA lower bound is then exactly its
+    distance, and many distances tie exactly."""
+    return np.repeat(levels, L // W, axis=1).astype(np.float64)
+
+
+@pytest.fixture(scope="module")
+def steps(spark):
+    rng = np.random.default_rng(31)
+    data = _step_series(rng.integers(-2, 3, size=(2000, W)))
+    chunked = equally_split(series_df(spark, data), 2)
+    yield data, chunked
+    chunked.unpersist()
+
+
+@pytest.mark.parametrize("share_bsf", [True, False])
+@pytest.mark.parametrize("k", [1, 3])
+def test_lower_bound_equal_to_the_bound_keeps_id_order(spark, steps, k, share_bsf):
+    """A series whose lower bound equals the k-th distance can still enter
+    the answer with a smaller id, so the search prunes only on a strictly
+    smaller bound; the answers follow the oracle's (distance, id) order."""
+    data, chunked = steps
+    queries = _step_series(np.random.default_rng(37).integers(-2, 3, size=(100, W)))
+    res = distributed_search(chunked, queries, k=k, share_bsf=share_bsf)
+    assert_equivalent(
+        spark.createDataFrame(res.answers),
+        NN_SQL if k == 1 else knn_sql(k),
+        series=series_long_pdf(data),
+        queries=series_long_pdf(queries, id_col="qid"),
+    )
+
+
+@pytest.mark.parametrize("share_bsf", [True, False])
+@pytest.mark.parametrize("k", [1, 3])
+def test_dtw_lower_bound_equal_to_the_bound_keeps_id_order(steps, k, share_bsf):
+    """Against a constant query, LB_Keogh, the envelope-PAA bound of a step
+    series and banded DTW all equal ED, so DTW's filters meet the bound."""
+    from repro.core.dtw import brute_force_dtw_nn
+
+    data, chunked = steps
+    queries = np.repeat(np.arange(-2, 2.5, 0.5)[:, None], L, axis=1)
+    res = distributed_search(
+        chunked, queries, k=k, distance="dtw", warp=0.1, share_bsf=share_bsf
+    )
+    ids = np.arange(len(data))
+    for qid, q in enumerate(queries):
+        ref = brute_force_dtw_nn(data, ids, q, warp=0.1, k=k)
+        got = res.answers[res.answers["query_id"] == qid].sort_values(["nn_dist", "nn_id"])
+        assert got["nn_id"].tolist() == [i for _, i in ref]
+        np.testing.assert_allclose(got["nn_dist"], [d for d, _ in ref], atol=1e-9)
+
+
+def test_layout_with_empty_chunks(spark):
+    """DENSITY-AWARE lays 8 random walks out in 4 chunks as [8, 0, 0, 0]
+    (each series is alone in its buffer, and a striped buffer starts at
+    chunk 0). The answers are the oracle's, and every policy simulates the
+    layout: a chunk with no rows has no queries to predict."""
+    data = random_walk_np(8, L, seed=0)
+    queries, _ = make_queries_np(data, 3, seed=1)
+    chunked = density_aware(series_df(spark, data), 4)
+    try:
+        sizes = np.bincount(chunked.select("chunk_id").toPandas()["chunk_id"], minlength=4)
+        assert sizes.tolist() == [8, 0, 0, 0]
+        res = distributed_search(chunked, queries)
+    finally:
+        chunked.unpersist()
+    assert_equivalent(
+        spark.createDataFrame(res.answers),
+        NN_SQL,
+        series=series_long_pdf(data),
+        queries=series_long_pdf(queries, id_col="qid"),
+    )
+    works = works_from_stats(res.chunk_stats)
+    preds = chunk_predictions(res, fit_chunk_predictors(res))
+    assert set(preds) == {0}
+    cfg = ReplicationConfig(4, 4)
+    for policy in ALL_POLICIES:
+        assert simulate_cluster(works, cfg, policy, predictions_by_chunk=preds).makespan > 0
+    with pytest.raises(ValueError, match="needs predictions"):
+        simulate_cluster(works, cfg, "PREDICT-ST")
 
 
 @pytest.mark.parametrize(

@@ -7,9 +7,10 @@ from pyspark.sql import functions as F
 
 from repro.core.isax import gray, inverse_gray
 from repro.distributed.partitioning import (
-    buffer_words_np,
+    BUFFER_BITS,
     density_aware,
     equally_split,
+    isax_words_np,
     plan_buffer_assignment,
 )
 from repro.synth_data import clustered_walks_np, series_df
@@ -88,8 +89,8 @@ def test_density_aware_splits_clusters(clustered):
 
 def test_buffer_words_shape_and_determinism():
     data = clustered_walks_np(50, 32, seed=1)
-    w1 = buffer_words_np(data)
-    w2 = buffer_words_np(data)
+    w1 = isax_words_np(data, BUFFER_BITS)
+    w2 = isax_words_np(data, BUFFER_BITS)
     np.testing.assert_array_equal(w1, w2)
     assert w1.min() >= 0 and w1.max() < (1 << 16)
 
