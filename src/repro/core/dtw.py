@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from .index import ISaxIndex
-from .search import LEAF_OVERHEAD, N_THREADS, SearchStats, pq_search
+from .search import N_THREADS, SearchStats, next_stage, pq_search
 
 
 def warping_window(length: int, frac: float) -> int:
@@ -138,8 +138,8 @@ def dtw_distance(a: np.ndarray, b: np.ndarray, r: int) -> float:
 
 
 class _DtwMetric:
-    """Banded DTW: envelope-region leaf LB, then per leaf the envelope-PAA
-    LB, LB_Keogh and one ``dtw_batch`` call for the survivors."""
+    """Banded DTW: envelope-region leaf LB, then the envelope-PAA LB,
+    LB_Keogh and one ``dtw_batch`` call for the survivors."""
 
     def __init__(self, index: ISaxIndex, q: np.ndarray, warp: float):
         self.index = index
@@ -161,20 +161,12 @@ class _DtwMetric:
         cost = index.n_leaves * index.w + len(members) * self.dtw_unit
         return float(dists.min()), len(members), cost
 
-    def refine(self, members: np.ndarray, bound: float):
+    def cascade(self, rows: np.ndarray, bound: float) -> list:
         index = self.index
-        slb = mindist_env_paa(self.l_hat, self.u_hat, index.paa[members], index.length)
-        keogh_rows = members[slb <= bound]
-        keogh = lb_keogh(self.lo, self.hi, index.data[keogh_rows])
-        survivors = keogh_rows[keogh <= bound]
-        dists = dtw_batch(self.q, index.data[survivors], self.r)
-        cost = (
-            LEAF_OVERHEAD
-            + len(members) * index.w
-            + len(keogh_rows) * index.length
-            + len(survivors) * self.dtw_unit
-        )
-        return dists, survivors, cost
+        slb = mindist_env_paa(self.l_hat, self.u_hat, index.paa[rows], index.length)
+        keogh = next_stage(slb, bound, lambda at: lb_keogh(self.lo, self.hi, index.data[rows[at]]))
+        dist = next_stage(keogh, bound, lambda at: dtw_batch(self.q, index.data[rows[at]], self.r))
+        return [(slb, index.w), (keogh, index.length), (dist, self.dtw_unit)]
 
 
 def exact_search_dtw(

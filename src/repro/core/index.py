@@ -5,7 +5,10 @@ word define ``2^w`` *root subtrees* (= summarization buffers); a node whose
 member count exceeds the leaf capacity splits by raising the cardinality of
 its lowest-cardinality segment and routing members by the next symbol bit.
 Leaves keep references (indices) into the chunk arrays plus their region
-bounds, so leaf lower bounds are one vectorised MINDIST over a matrix.
+bounds, so leaf lower bounds are one vectorised MINDIST over a matrix. The
+references are stored leaf by leaf in one array (``leaf_order``, with
+``leaf_offsets``), each leaf's ``members`` a view into it, so the members of
+any set of leaves are one gather.
 
 Build-cost accounting mirrors the paper's evaluation measures: *buffer cost*
 (summarisation flops ∝ n·L) and *tree cost* (∝ node visits), which together
@@ -25,7 +28,7 @@ class Leaf:
 
     cards: np.ndarray  # (w,) bits per segment
     prefixes: np.ndarray  # (w,) symbol prefixes at those cardinalities
-    members: np.ndarray  # indices into the chunk arrays
+    members: np.ndarray  # indices into the chunk arrays (a leaf_order view)
     root_id: int
 
 
@@ -45,6 +48,9 @@ class ISaxIndex:
     roots: dict[int, list[int]] = field(default_factory=dict)  # root_id -> leaf idx
     leaf_lo: np.ndarray | None = None  # (n_leaves, w)
     leaf_hi: np.ndarray | None = None
+    leaf_order: np.ndarray | None = None  # (n,) chunk rows, leaf after leaf
+    leaf_offsets: np.ndarray | None = None  # (n_leaves + 1,) into leaf_order
+    batch_layouts: dict = field(default_factory=dict, repr=False)  # search's cache
     buffer_cost: float = 0.0
     tree_cost: float = 0.0
 
@@ -139,6 +145,11 @@ def build_index(
                 p2[seg] = prefixes[seg] * 2 + v
                 stack.append((c2, p2, child))
     index.tree_cost = float(node_visits * w + len(ids))
+
+    index.leaf_order = np.concatenate([lf.members for lf in index.leaves])
+    index.leaf_offsets = np.cumsum([0] + [len(lf.members) for lf in index.leaves])
+    for lf, a, b in zip(index.leaves, index.leaf_offsets[:-1], index.leaf_offsets[1:]):
+        lf.members = index.leaf_order[a:b]
 
     all_prefixes = np.stack([lf.prefixes for lf in index.leaves])
     all_cards = np.stack([lf.cards for lf in index.leaves])

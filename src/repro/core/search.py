@@ -8,20 +8,26 @@ Phases, exactly as in the paper:
    leaves whose MINDIST lower bound beats the BSF are pushed into the
    batch's active priority queue; when a queue reaches the threshold
    ``TH`` it is sealed and a new one starts (this is what makes queues
-   steal-able at RS-batch granularity without moving data).
+   steal-able at RS-batch granularity without moving data). The queues
+   are built with a few array operations over the RS-batch leaf order,
+   which is computed once per index.
 3. *PQ preprocessing*: the queue array is sorted by the lower bound of
    each queue's top element (Odyssey) or left in creation order (MESSI
    baseline mode, ``sorted_pqs=False``).
 4. *PQ processing*: queues are consumed in order; a queue is abandoned as
-   soon as its head's lower bound reaches the BSF; surviving leaves go
+   soon as its head's lower bound exceeds the BSF; surviving leaves go
    through the distance's series-level cascade and the remainder get real
-   (vectorised) distances, updating the BSF.
+   distances, updating the BSF. Each queue is evaluated as one block: one
+   cascade call over the rows of all its leaves under the BSF at the
+   queue's start (the BSF only falls, so that computes every value the
+   per-leaf loop needs), then a replay of the per-leaf decisions from those
+   values (:func:`_process_queue`), with the same counters and answers.
 
 Only the lower bounds change between distances, so one loop
 (:func:`pq_search`) runs every distance over a small metric: its leaf
-lower bounds, its approximate search and its per-leaf cascade. For ED the
-cascade is PAA MINDIST → Euclidean distance (:class:`_EdMetric`); for DTW
-see :mod:`repro.core.dtw`.
+lower bounds, its approximate search and its staged series-level cascade.
+For ED the cascade is PAA MINDIST → Euclidean distance (:class:`_EdMetric`);
+for DTW see :mod:`repro.core.dtw`.
 
 The search returns exact work counters and the priority-queue cost
 decomposition (:class:`SearchStats`), which feed the cluster-level
@@ -88,9 +94,13 @@ class _KBsf:
         # approximate and the PQ-processing phase; count it once
 
     @property
+    def kth(self) -> float:
+        """The heap's own k-th distance (+inf while it holds fewer)."""
+        return -self._heap[0][0] if len(self._heap) >= self.k else np.inf
+
+    @property
     def bound(self) -> float:
-        local = -self._heap[0][0] if len(self._heap) >= self.k else np.inf
-        return min(local, self.shared)
+        return min(self.kth, self.shared)
 
     def offer(self, dist: float, sid: int) -> None:
         if sid in self._ids:
@@ -131,9 +141,31 @@ def make_batches(index: ISaxIndex, n_batches: int) -> list[list[int]]:
     return batches or [[]]
 
 
+def _batch_layout(index: ISaxIndex, n_batches: int):
+    """The leaves in RS-batch order and the batch of each, once per index."""
+    if n_batches not in index.batch_layouts:
+        batches = make_batches(index, n_batches)
+        index.batch_layouts[n_batches] = (
+            np.concatenate([np.asarray(b, dtype=np.int64) for b in batches]),
+            np.repeat(np.arange(len(batches)), [len(b) for b in batches]),
+        )
+    return index.batch_layouts[n_batches]
+
+
+def next_stage(prev: np.ndarray, bound: float, values) -> np.ndarray:
+    """One cascade stage after ``prev``: ``values(keep)`` at the positions
+    ``keep`` whose ``prev`` value is at most ``bound``, +inf (never computed,
+    never passed) elsewhere."""
+    out = np.full(len(prev), np.inf)
+    keep = np.flatnonzero(prev <= bound)
+    if len(keep):
+        out[keep] = values(keep)
+    return out
+
+
 class _EdMetric:
-    """Euclidean distance: leaf MINDIST, then per leaf the series-level PAA
-    MINDIST and the real distance of its survivors."""
+    """Euclidean distance: leaf MINDIST, then the series-level PAA MINDIST
+    and the real distance of its survivors."""
 
     def __init__(self, index: ISaxIndex, q: np.ndarray):
         self.index = index
@@ -148,15 +180,16 @@ class _EdMetric:
         kbsf.offer_many(dists, member_ids)
         return bsf, len(member_ids), cost
 
-    def refine(self, members: np.ndarray, bound: float):
+    def cascade(self, rows: np.ndarray, bound: float) -> list:
         index = self.index
-        slb = mindist_paa_paa(self.q_paa, index.paa[members], index.length)
-        survivors = members[slb <= bound]
-        cost = LEAF_OVERHEAD + len(members) * index.w + len(survivors) * index.length
-        if len(survivors) == 0:  # common on pruned leaves: skip the empty kernel
-            return np.empty(0), survivors, cost
-        diffs = index.data[survivors] - self.q
-        return np.sqrt(np.einsum("ij,ij->i", diffs, diffs)), survivors, cost
+        slb = mindist_paa_paa(self.q_paa, index.paa[rows], index.length)
+
+        def dist(keep):
+            diffs = index.data[rows[keep]]
+            diffs -= self.q  # the gather is a copy: one (rows, L) temporary
+            return np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
+
+        return [(slb, index.w), (next_stage(slb, bound, dist), index.length)]
 
 
 def _approx_phase(index: ISaxIndex, metric, kbsf: _KBsf) -> SearchStats:
@@ -169,6 +202,86 @@ def _approx_phase(index: ISaxIndex, metric, kbsf: _KBsf) -> SearchStats:
     )
 
 
+def _priority_queues(
+    index: ISaxIndex, lbs: np.ndarray, bound: float,
+    n_batches: int, pq_threshold: int | None, sorted_pqs: bool,
+):
+    """Phases 2–3: the leaves with ``lb <= bound``, per RS-batch in groups
+    of ``pq_threshold``, each group sorted by (lb, leaf). Returns the queues
+    in processing order as ``(leaves, lbs)`` and their sizes in creation
+    order."""
+    order, batch = _batch_layout(index, n_batches)
+    keep = lbs[order] <= bound
+    leaves, batch = order[keep], batch[keep]
+    if len(leaves) == 0:
+        return [], []
+    pos = np.arange(len(leaves))
+    first = np.concatenate(([True], batch[1:] != batch[:-1]))  # a batch's first leaf
+    rank = pos - np.maximum.accumulate(np.where(first, pos, 0))
+    new = rank % pq_threshold == 0 if pq_threshold else rank == 0
+    starts = np.flatnonzero(new)  # queues are contiguous, before and after the sort
+    leaves = leaves[np.lexsort((leaves, lbs[leaves], np.cumsum(new)))]  # (lb, leaf) per queue
+    pqs = np.split(leaves, starts[1:])
+    if sorted_pqs:  # PQ preprocessing: by the lower bound of each top element
+        pqs = [pqs[i] for i in np.argsort(lbs[leaves[starts]], kind="stable")]
+    return [(pq, lbs[pq]) for pq in pqs], np.diff(starts, append=len(leaves)).tolist()
+
+
+def _process_queue(index: ISaxIndex, metric, kbsf: _KBsf, stats: SearchStats,
+                   leaves: np.ndarray, lbs: np.ndarray) -> float:
+    """Phase 4 for one queue, as one block; returns the queue's cost.
+
+    Alg. 2 pops the leaves in ``lb`` order, abandons the queue at the first
+    ``lb`` above the bound, keeps a leaf's series whose every cascade stage
+    but the last is at most the bound, scores them and offers the scores to
+    the heap. The bound only falls, so every value that loop needs is among
+    those one cascade call computes under the bound at the queue's start.
+    The replay then makes the loop's decisions from those values: runs of
+    leaves that cannot change the heap are counted together, and a leaf is
+    offered on its own only when one of its scores is at most the heap's
+    own k-th distance (or the heap is not full), after which the bound is
+    read again. Values computed for series the loop would not reach are
+    neither counted nor charged."""
+    bound = kbsf.bound
+    m = int(np.searchsorted(lbs, bound, side="right"))
+    if m == 0:
+        return 0.0
+    leaves, lbs = leaves[:m], lbs[:m]
+    lo = index.leaf_offsets[leaves]
+    sizes = index.leaf_offsets[leaves + 1] - lo
+    starts = np.concatenate(([0], np.cumsum(sizes)))  # each leaf's rows in the block
+    rows = index.leaf_order[np.repeat(lo - starts[:-1], sizes) + np.arange(starts[-1])]
+    stages = metric.cascade(rows, bound)
+    dist = stages[-1][0]
+    cost = 0.0
+    i = 0
+    while i < m:
+        bound = kbsf.bound
+        stop = int(np.searchsorted(lbs, bound, side="right"))  # the queue is abandoned there
+        if stop <= i:
+            break
+        r0, r1 = starts[i], starts[stop]
+        reach = [np.ones(r1 - r0, dtype=bool)]  # the rows that reach each stage
+        for values, _ in stages[:-1]:
+            reach.append(reach[-1] & (values[r0:r1] <= bound))
+        # the heap's own k-th entry, not the capped bound: an offer between
+        # the two changes the heap, not the bound
+        hits = np.flatnonzero(reach[-1] & (dist[r0:r1] <= kbsf.kth))
+        end = int(np.searchsorted(starts, r0 + hits[0], side="right")) if len(hits) else stop
+        counts = [int(np.count_nonzero(r[: starts[end] - r0])) for r in reach]
+        stats.series_lb += counts[0]
+        stats.real_series += counts[-1]
+        stats.leaves_processed += end - i
+        cost += LEAF_OVERHEAD * (end - i) + sum(c * unit for c, (_, unit) in zip(counts, stages))
+        if not len(hits):
+            break
+        a = starts[end - 1]  # the rows of the first leaf whose offer can change the heap
+        scored = a + np.flatnonzero(reach[-1][a - r0 : starts[end] - r0])
+        kbsf.offer_many(dist[scored], index.ids[rows[scored]])
+        i = end
+    return cost
+
+
 def pq_search(
     index: ISaxIndex, metric, *, k: int, init_bsf: float,
     n_batches: int, pq_threshold: int | None, sorted_pqs: bool,
@@ -176,52 +289,21 @@ def pq_search(
     """The search phases over one distance's lower-bound cascade.
 
     ``metric`` has one lower bound per leaf (``leaf_lbs``), seeds the k-BSF
-    with ``approx(kbsf) -> (approx_bsf, real distances, cost)`` and scores
-    a leaf with ``refine(members, bound) -> (dists, scored members, cost)``.
+    with ``approx(kbsf) -> (approx_bsf, real distances, cost)`` and
+    evaluates its series-level cascade over a block of chunk rows with
+    ``cascade(rows, bound) -> [(values, unit cost), ...]``: one entry per
+    stage, the last the distance, each stage computed (else +inf) only
+    for the rows whose previous stage is at most ``bound``.
     """
     kbsf = _KBsf(k, init_bsf)
     stats = _approx_phase(index, metric, kbsf)
-
-    # --- tree traversal phase: build the priority queues per RS-batch ---
-    bound = kbsf.bound
-    pqs: list[list] = []  # each: sorted [(lb, leaf_idx)]
-    for leaves in make_batches(index, n_batches):
-        current: list = []
-        for leaf_idx in leaves:
-            lb = float(metric.leaf_lbs[leaf_idx])
-            if lb > bound:
-                continue
-            current.append((lb, leaf_idx))
-            if pq_threshold is not None and len(current) >= pq_threshold:
-                current.sort()
-                pqs.append(current)
-                current = []
-        if current:
-            current.sort()
-            pqs.append(current)
+    pqs, stats.pq_sizes = _priority_queues(
+        index, metric.leaf_lbs, kbsf.bound, n_batches, pq_threshold, sorted_pqs
+    )
     # the batches partition the leaves: one leaf lower bound (w) per leaf
     stats.traversal_cost = float(index.n_leaves * index.w)
-    stats.pq_sizes = [len(pq) for pq in pqs]
-
-    # --- PQ preprocessing: sort queue array by top-element priority ---
-    if sorted_pqs:
-        pqs.sort(key=lambda pq: pq[0][0])
-
-    # --- PQ processing ---
-    for pq in pqs:
-        cost = 0.0
-        for lb, leaf_idx in pq:
-            if lb > kbsf.bound:
-                break  # queue sorted by lb: the rest is pruned too
-            members = index.leaves[leaf_idx].members
-            dists, scored, leaf_cost = metric.refine(members, kbsf.bound)
-            kbsf.offer_many(dists, index.ids[scored])
-            stats.series_lb += len(members)
-            stats.real_series += len(scored)
-            stats.leaves_processed += 1
-            cost += leaf_cost
-        stats.pq_costs.append(cost)
-
+    for leaves, lbs in pqs:
+        stats.pq_costs.append(_process_queue(index, metric, kbsf, stats, leaves, lbs))
     stats.topk = kbsf.topk()
     return stats
 

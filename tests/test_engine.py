@@ -390,6 +390,35 @@ def test_dtw_lower_bound_equal_to_the_bound_keeps_id_order(steps, k, share_bsf):
         np.testing.assert_allclose(got["nn_dist"], [d for d, _ in ref], atol=1e-9)
 
 
+@pytest.fixture(scope="module")
+def mirrored(spark):
+    """Every series twice, as ids ``j`` and ``2n - 1 - j``: split into 4
+    equal chunks, the two copies always lie in different chunks."""
+    base = clustered_walks_np(N // 2, L, seed=41)
+    data = np.vstack([base, base[::-1]])
+    chunked = equally_split(series_df(spark, data), 4)
+    yield data, base, chunked
+    chunked.unpersist()
+
+
+@pytest.mark.parametrize("share_bsf", [True, False])
+@pytest.mark.parametrize("k", [1, 4])
+def test_mirrored_series_across_chunks_keep_id_order(spark, mirrored, k, share_bsf):
+    """Each distance is met twice, in two chunks, so the shared BSF a chunk
+    is seeded with ties its own copy exactly at the bound; the merged
+    answers follow the oracle's (distance, id) order. Half the queries are
+    series of the data themselves."""
+    data, base, chunked = mirrored
+    queries = np.vstack([base[::40], make_queries_np(base, 4, seed=43)[0]])
+    res = distributed_search(chunked, queries, k=k, share_bsf=share_bsf)
+    assert_equivalent(
+        spark.createDataFrame(res.answers),
+        NN_SQL if k == 1 else knn_sql(k),
+        series=series_long_pdf(data),
+        queries=series_long_pdf(queries, id_col="qid"),
+    )
+
+
 def test_layout_with_empty_chunks(spark):
     """DENSITY-AWARE lays 8 random walks out in 4 chunks as [8, 0, 0, 0]
     (each series is alone in its buffer, and a striped buffer starts at
