@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from .index import ISaxIndex
-from .search import N_THREADS, SearchStats, next_stage, pq_search
+from .search import SearchStats, next_stage, pq_search
 
 
 def warping_window(length: int, frac: float) -> int:
@@ -155,7 +155,7 @@ class _DtwMetric:
     def approx(self, kbsf):
         """True DTW to the members of the leaf with the smallest bound."""
         index = self.index
-        members = index.leaves[int(np.argmin(self.leaf_lbs))].members
+        members = index.members(int(np.argmin(self.leaf_lbs)))
         dists = dtw_batch(self.q, index.data[members], self.r)
         kbsf.offer_many(dists, index.ids[members])
         cost = index.n_leaves * index.w + len(members) * self.dtw_unit
@@ -176,14 +176,13 @@ def exact_search_dtw(
     k: int = 1,
     warp: float = 0.05,
     init_bsf: float = np.inf,
-    n_batches: int = N_THREADS,
     pq_threshold: int | None = 64,
     sorted_pqs: bool = True,
 ) -> SearchStats:
     """Exact DTW k-NN on one node's index, Odyssey PQ discipline."""
     return pq_search(
         index, _DtwMetric(index, q, warp), k=k, init_bsf=init_bsf,
-        n_batches=n_batches, pq_threshold=pq_threshold, sorted_pqs=sorted_pqs,
+        pq_threshold=pq_threshold, sorted_pqs=sorted_pqs,
     )
 
 

@@ -8,9 +8,10 @@ Phases, exactly as in the paper:
    leaves whose MINDIST lower bound beats the BSF are pushed into the
    batch's active priority queue; when a queue reaches the threshold
    ``TH`` it is sealed and a new one starts (this is what makes queues
-   steal-able at RS-batch granularity without moving data). The queues
-   are built with a few array operations over the RS-batch leaf order,
-   which is computed once per index.
+   steal-able at RS-batch granularity without moving data). The index
+   stores its leaves in ascending root order, so each leaf's RS-batch is
+   its root's rank (:func:`leaf_batches`) and the queues are a few array
+   operations over the leaf lower bounds.
 3. *PQ preprocessing*: the queue array is sorted by the lower bound of
    each queue's top element (Odyssey) or left in creation order (MESSI
    baseline mode, ``sorted_pqs=False``).
@@ -126,30 +127,13 @@ class _KBsf:
         return sorted((-d, -i) for d, i in self._heap)
 
 
-def make_batches(index: ISaxIndex, n_batches: int) -> list[list[int]]:
-    """Split the (ordered) non-empty root subtrees into contiguous RS-batches
-    of leaf indices."""
-    root_ids = sorted(index.roots)
-    n_batches = max(1, min(n_batches, len(root_ids))) if root_ids else 1
-    batches: list[list[int]] = []
-    per = -(-len(root_ids) // n_batches) if root_ids else 0
-    for b in range(0, len(root_ids), per if per else 1):
-        leaves: list[int] = []
-        for rid in root_ids[b : b + per]:
-            leaves.extend(index.roots[rid])
-        batches.append(leaves)
-    return batches or [[]]
-
-
-def _batch_layout(index: ISaxIndex, n_batches: int):
-    """The leaves in RS-batch order and the batch of each, once per index."""
-    if n_batches not in index.batch_layouts:
-        batches = make_batches(index, n_batches)
-        index.batch_layouts[n_batches] = (
-            np.concatenate([np.asarray(b, dtype=np.int64) for b in batches]),
-            np.repeat(np.arange(len(batches)), [len(b) for b in batches]),
-        )
-    return index.batch_layouts[n_batches]
+def leaf_batches(index: ISaxIndex) -> np.ndarray:
+    """The RS-batch of each leaf: the root subtrees, in ascending order, in
+    contiguous batches of ``⌈n_roots / min(N_THREADS, n_roots)⌉``."""
+    root = index.leaf_root  # ascending
+    rank = np.concatenate(([0], np.cumsum(root[1:] != root[:-1])))  # the root's rank
+    n_roots = int(rank[-1]) + 1
+    return rank // -(-n_roots // min(N_THREADS, n_roots))
 
 
 def next_stage(prev: np.ndarray, bound: float, values) -> np.ndarray:
@@ -204,15 +188,14 @@ def _approx_phase(index: ISaxIndex, metric, kbsf: _KBsf) -> SearchStats:
 
 def _priority_queues(
     index: ISaxIndex, lbs: np.ndarray, bound: float,
-    n_batches: int, pq_threshold: int | None, sorted_pqs: bool,
+    pq_threshold: int | None, sorted_pqs: bool,
 ):
     """Phases 2–3: the leaves with ``lb <= bound``, per RS-batch in groups
     of ``pq_threshold``, each group sorted by (lb, leaf). Returns the queues
     in processing order as ``(leaves, lbs)`` and their sizes in creation
     order."""
-    order, batch = _batch_layout(index, n_batches)
-    keep = lbs[order] <= bound
-    leaves, batch = order[keep], batch[keep]
+    keep = lbs <= bound
+    leaves, batch = np.flatnonzero(keep), leaf_batches(index)[keep]
     if len(leaves) == 0:
         return [], []
     pos = np.arange(len(leaves))
@@ -284,7 +267,7 @@ def _process_queue(index: ISaxIndex, metric, kbsf: _KBsf, stats: SearchStats,
 
 def pq_search(
     index: ISaxIndex, metric, *, k: int, init_bsf: float,
-    n_batches: int, pq_threshold: int | None, sorted_pqs: bool,
+    pq_threshold: int | None, sorted_pqs: bool,
 ) -> SearchStats:
     """The search phases over one distance's lower-bound cascade.
 
@@ -298,7 +281,7 @@ def pq_search(
     kbsf = _KBsf(k, init_bsf)
     stats = _approx_phase(index, metric, kbsf)
     pqs, stats.pq_sizes = _priority_queues(
-        index, metric.leaf_lbs, kbsf.bound, n_batches, pq_threshold, sorted_pqs
+        index, metric.leaf_lbs, kbsf.bound, pq_threshold, sorted_pqs
     )
     # the batches partition the leaves: one leaf lower bound (w) per leaf
     stats.traversal_cost = float(index.n_leaves * index.w)
@@ -321,7 +304,6 @@ def exact_search(
     *,
     k: int = 1,
     init_bsf: float = np.inf,
-    n_batches: int = N_THREADS,
     pq_threshold: int | None = 64,
     sorted_pqs: bool = True,
 ) -> SearchStats:
@@ -329,5 +311,5 @@ def exact_search(
     ``sorted_pqs=False, pq_threshold=None``)."""
     return pq_search(
         index, _EdMetric(index, q), k=k, init_bsf=init_bsf,
-        n_batches=n_batches, pq_threshold=pq_threshold, sorted_pqs=sorted_pqs,
+        pq_threshold=pq_threshold, sorted_pqs=sorted_pqs,
     )

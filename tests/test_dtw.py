@@ -166,8 +166,8 @@ def test_cascade_bounds_ordering(seed):
     assert np.all(paa_lb <= keogh + 1e-9)
     assert np.all(keogh <= true + 1e-9)
     leaf_lbs = mindist_env_regions(l_hat, u_hat, index.leaf_lo, index.leaf_hi, index.length)
-    for i, lf in enumerate(index.leaves):
-        assert leaf_lbs[i] <= paa_lb[lf.members].min() + 1e-9
+    for i in range(index.n_leaves):
+        assert leaf_lbs[i] <= paa_lb[index.members(i)].min() + 1e-9
 
 
 @pytest.mark.parametrize("qi", range(6))

@@ -6,7 +6,9 @@ loop of the paper's Alg. 2, kept here as a test oracle (as the DTW reference
 DP is for ``dtw_batch``): it pops a queue's leaves in lower-bound order,
 abandons the queue at the first leaf bound above the BSF, filters the leaf's
 series through the cascade under the current BSF and offers the survivors'
-distances to the heap. Both must agree on every ``SearchStats`` field.
+distances to the heap. Both must agree on every ``SearchStats`` field. Its
+tree traversal walks the RS-batches as lists of leaves (``make_batches``),
+which is also the oracle of the search's per-leaf batch ids.
 """
 import dataclasses
 
@@ -17,16 +19,33 @@ from repro.core.dtw import _DtwMetric
 from repro.core.index import build_index
 from repro.core.isax import W
 from repro.core.search import (
-    LEAF_OVERHEAD, N_THREADS, _approx_phase, _EdMetric, _KBsf, make_batches, pq_search,
+    LEAF_OVERHEAD, N_THREADS, _approx_phase, _EdMetric, _KBsf, leaf_batches, pq_search,
 )
 from repro.synth_data import clustered_walks_np, make_queries_np, random_walk_np
+
+
+def make_batches(index) -> list[list[int]]:
+    """The RS-batches as lists of leaves: the root subtrees in ascending
+    order, ``⌈n_roots / N_THREADS⌉`` of them per batch (one per batch when
+    there are fewer roots than threads)."""
+    roots: dict[int, list[int]] = {}
+    for leaf, root in enumerate(index.leaf_root.tolist()):
+        roots.setdefault(root, []).append(leaf)
+    root_ids = sorted(roots)
+    per = -(-len(root_ids) // min(N_THREADS, len(root_ids)))
+    return [[leaf for root in root_ids[b : b + per] for leaf in roots[root]]
+            for b in range(0, len(root_ids), per)]
+
+
+def _members(index, leaf):
+    return index.leaf_order[index.leaf_offsets[leaf] : index.leaf_offsets[leaf + 1]]
 
 
 def per_leaf_search(index, metric, *, k, init_bsf, pq_threshold, sorted_pqs):
     kbsf = _KBsf(k, init_bsf)
     stats = _approx_phase(index, metric, kbsf)
     pqs = []
-    for batch in make_batches(index, N_THREADS):  # tree traversal
+    for batch in make_batches(index):  # tree traversal
         lbs = [(float(metric.leaf_lbs[leaf]), leaf) for leaf in batch]
         kept = [(lb, leaf) for lb, leaf in lbs if lb <= kbsf.bound]
         size = pq_threshold or max(len(kept), 1)
@@ -40,7 +59,7 @@ def per_leaf_search(index, metric, *, k, init_bsf, pq_threshold, sorted_pqs):
         for lb, leaf in pq:  # pop
             if lb > kbsf.bound:
                 break  # abandon the queue
-            members = index.leaves[leaf].members
+            members = _members(index, leaf)
             stages = metric.cascade(members, kbsf.bound)
             reach = np.ones(len(members), dtype=bool)  # series filter
             for j, (values, unit) in enumerate(stages):
@@ -104,7 +123,7 @@ def test_block_search_matches_per_leaf_loop(name, distance, k, seed, mode):
         if seed is not None:
             alone = per_leaf_search(index, _metric(distance, index, q), init_bsf=np.inf, **kw)
             bsf = seed * alone.topk[-1][0]
-        got = pq_search(index, _metric(distance, index, q), init_bsf=bsf, n_batches=N_THREADS, **kw)
+        got = pq_search(index, _metric(distance, index, q), init_bsf=bsf, **kw)
         want = per_leaf_search(index, _metric(distance, index, q), init_bsf=bsf, **kw)
         assert dataclasses.asdict(got) == dataclasses.asdict(want)
 
@@ -130,21 +149,47 @@ def test_no_cascade_call_exceeds_one_queue(distance, pq_threshold):
     data, queries, _ = _DATA["walks"]
     index = build_index(np.arange(len(data)), data, leaf_capacity=16)
     leaf_of = np.empty(len(data), dtype=np.int64)
-    for leaf, lf in enumerate(index.leaves):
-        leaf_of[lf.members] = leaf
-    batch_of = {leaf: b for b, batch in enumerate(make_batches(index, N_THREADS)) for leaf in batch}
+    for leaf in range(index.n_leaves):
+        leaf_of[_members(index, leaf)] = leaf
+    batch_of = {leaf: b for b, batch in enumerate(make_batches(index)) for leaf in batch}
     widest = 0
     for q in queries:
         spy = _Spy(_metric(distance, index, q))
-        pq_search(index, spy, k=5, init_bsf=np.inf, n_batches=N_THREADS,
+        pq_search(index, spy, k=5, init_bsf=np.inf,
                   pq_threshold=pq_threshold, sorted_pqs=pq_threshold is not None)
         assert spy.calls
         for rows in spy.calls:
             leaves = np.unique(leaf_of[rows])
-            members = np.concatenate([index.leaves[i].members for i in leaves])
+            members = np.concatenate([_members(index, i) for i in leaves])
             assert sorted(rows.tolist()) == sorted(members.tolist())
             assert len(leaves) <= (pq_threshold or index.n_leaves)
             assert len({batch_of[i] for i in leaves}) == 1
             widest = max(widest, len(leaves))
     if pq_threshold == 4:
         assert widest == 4
+
+
+def _few_roots() -> np.ndarray:
+    """Noisy copies of three walks: four root subtrees, fewer than N_THREADS."""
+    base = random_walk_np(3, 64, seed=2)
+    return np.repeat(base, 20, axis=0) + np.random.default_rng(6).normal(0, 0.02, (60, 64))
+
+
+_BATCH_CASES = {  # data, leaf capacity, root subtrees
+    "search-fixture": (_DATA["walks"][0], 32, 43),  # tests/test_search.py's index
+    "few-roots": (_few_roots(), 8, 4),
+    "one-leaf": (_DATA["one-leaf"][0], 64, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BATCH_CASES))
+def test_leaf_batches_match_list_batches(name):
+    """Each leaf's RS-batch id is its batch in ``make_batches``, whose
+    leaves, batch after batch, are the leaves in index order."""
+    data, capacity, n_roots = _BATCH_CASES[name]
+    index = build_index(np.arange(len(data)), data, leaf_capacity=capacity)
+    assert len(np.unique(index.leaf_root)) == n_roots
+    batches = make_batches(index)
+    assert [leaf for batch in batches for leaf in batch] == list(range(index.n_leaves))
+    want = [b for b, batch in enumerate(batches) for _ in batch]
+    assert leaf_batches(index).tolist() == want

