@@ -26,13 +26,22 @@ import caches, which on Python 3.11 makes each cached zip-archive finder
 re-read all of ``pyspark.zip``'s directory (0.13–0.3 s of CPU per task);
 the scan therefore drops those finders (``drop_zip_finders``) before and
 after its chunks, so later tasks re-read nothing. BSF sharing is a
-two-pass dataflow:
+two-pass dataflow when the layout spans several Spark partitions:
 
   pass 1  approximate search per chunk (ED, for DTW queries too)  →
           driver reduces to a global per-query k-BSF seed (the paper's
           BSF-sharing channel)
   pass 2  exact search seeded with the global BSF (broadcast in the
           task closure)
+
+A layout in one Spark partition (one chunk, as under FULL replication, or
+a ``coalesce(1)`` layout) runs one scan instead. Its one task builds each
+chunk's index once and runs pass 1 on every chunk; since it holds every
+chunk, its pool of approximate answers is the one the driver would
+collect, and it reduces them with the driver's own function
+(``_seeds_from_approx``) before the seeded exact search. The seeds, the
+answers and every counter are therefore those of the two scans; the
+pass-1 cost is folded into each row by the same single addition.
 
 The operator returns per-(chunk, query) answers *and* the full work
 breakdown (lower-bound counts, real-distance counts, priority-queue cost
@@ -104,17 +113,9 @@ class DistResult:
     answers: pd.DataFrame  # k=1: (query_id, nn_dist, nn_id); k>1: + rank
 
 
-def _make_worker(
-    queries: np.ndarray,
-    *,
-    approx_only: bool,
-    seeds: np.ndarray | None,
-    algorithm: str,
-    distance: str,
-    warp: float,
-    k: int,
-):
-    """Build the per-chunk worker (closure ships queries + seeds)."""
+def _exact_search(algorithm: str, distance: str, warp: float, k: int):
+    """The exact search a chunk runs, as ``search(index, q, init_bsf=...)``;
+    raises ``ValueError`` on an unknown algorithm or distance."""
     if algorithm == "odyssey":
         search_kw = {"sorted_pqs": True, "pq_threshold": 64}
     elif algorithm == "messi":
@@ -127,29 +128,91 @@ def _make_worker(
         search = partial(exact_search_dtw, warp=warp)
     else:
         raise ValueError(f"unknown distance {distance!r}")
+    return partial(search, k=k, **search_kw)
 
-    def fn(chunk_id: int, ids: np.ndarray, data: np.ndarray) -> dict:
-        if queries.shape[1] != data.shape[1]:
-            raise ValueError(
-                f"chunk {chunk_id}: queries have length {queries.shape[1]}, "
-                f"series have length {data.shape[1]}"
-            )
-        index, base = _build_chunk(chunk_id, ids, data)
+
+def _make_worker(
+    queries: np.ndarray,
+    *,
+    approx_only: bool,
+    seeds: np.ndarray | None,
+    algorithm: str,
+    distance: str,
+    warp: float,
+    k: int,
+):
+    """Build the scan's per-partition worker: ``_answer_partition`` bound
+    to the queries, seeds and search. A module-level function travels to
+    the workers by name, so it calls the engine's own functions there,
+    never a driver-side wrapper of them."""
+    return partial(
+        _answer_partition,
+        queries=queries,
+        approx_only=approx_only,
+        seeds=seeds,
+        search=_exact_search(algorithm, distance, warp, k),
+        k=k,
+    )
+
+
+def _answer_partition(chunks, *, queries, approx_only, seeds, search, k):
+    """Build each of one Spark partition's chunks' index once and answer
+    the query batch on it; yields one dict of result columns per chunk.
+
+    ``approx_only`` runs pass 1, the approximate search alone. Otherwise
+    each query's exact search starts from its entry in ``seeds``. Without
+    seeds the task first runs pass 1 on every one of its chunks and
+    reduces the answers to the seeds itself, with the driver's
+    ``_seeds_from_approx``: when the task holds every chunk, that pool is
+    the driver's pool, so the seeds, and every answer and counter after
+    them, are those of the two scans. Each (chunk, query)'s pass-1 cost is
+    then folded into its row as the driver folds it, and its time into
+    ``elapsed``."""
+
+    def built():
+        for chunk_id, ids, data in chunks:
+            if queries.shape[1] != data.shape[1]:
+                raise ValueError(
+                    f"chunk {chunk_id}: queries have length {queries.shape[1]}, "
+                    f"series have length {data.shape[1]}"
+                )
+            yield _build_chunk(chunk_id, ids, data)
+
+    indexes, pass1 = built(), None
+    if seeds is None and not approx_only:
+        indexes = list(indexes)
+        pass1 = [
+            [_timed(approximate_search, index, q, k=k) for q in queries]
+            for index, _ in indexes
+        ]
+        approx = pd.DataFrame(
+            [{**_query_row(st), "query_id": qi} for rows in pass1 for qi, (st, _) in enumerate(rows)]
+        )
+        seeds = _seeds_from_approx(approx, len(queries), k)
+    for c, (index, base) in enumerate(indexes):
         rows = []
         for qi, q in enumerate(queries):
-            t1 = time.perf_counter()
             if approx_only:
-                st = approximate_search(index, q, k=k)
+                st, elapsed = _timed(approximate_search, index, q, k=k)
             else:
-                seed = float(seeds[qi]) if seeds is not None else np.inf
-                st = search(index, q, k=k, init_bsf=seed, **search_kw)
-            rows.append({**_query_row(st), "query_id": qi, "elapsed": time.perf_counter() - t1})
-        return {
+                st, elapsed = _timed(search, index, q, init_bsf=float(seeds[qi]))
+            row = _query_row(st)
+            if pass1 is not None:
+                approx_st, approx_elapsed = pass1[c][qi]
+                row["t_serial"] += approx_st.total_cost
+                row["total_cost"] += approx_st.total_cost
+                elapsed += approx_elapsed
+            rows.append({**row, "query_id": qi, "elapsed": elapsed})
+        yield {
             **{name: [value] * len(rows) for name, value in base.items()},
             **{name: [r[name] for r in rows] for name in _QUERY_FIELDS},
         }
 
-    return fn
+
+def _timed(search, *args, **kwargs) -> tuple[SearchStats, float]:
+    """A search's result and its wall-clock seconds."""
+    t = time.perf_counter()
+    return search(*args, **kwargs), time.perf_counter() - t
 
 
 def _query_row(st: SearchStats) -> dict:
@@ -196,7 +259,11 @@ def chunk_search(
     warp: float = 0.05,
     k: int = 1,
 ) -> pd.DataFrame:
-    """One scan pass: per-chunk index build + batch query answering."""
+    """One scan: per-chunk index build + batch query answering. Pass 1
+    (``approx_only``) runs the approximate search; otherwise each query's
+    exact search starts from its entry in ``seeds`` (+inf: no seed), or,
+    without ``seeds``, from the seeds each task reduces from its own
+    chunks' approximate answers (``_answer_partition``)."""
     fn = _make_worker(
         np.asarray(queries, dtype=np.float64),
         approx_only=approx_only,
@@ -210,15 +277,15 @@ def chunk_search(
 
 
 def _chunk_scan(chunked_df: DataFrame, fn, schema: T.StructType) -> DataFrame:
-    """Run ``fn(chunk_id, ids, data)`` once per chunk, in the Spark
-    partition that holds the chunk; each dict of columns it returns
-    becomes one Arrow record batch of ``schema``."""
+    """Run ``fn(chunks)`` once per Spark partition, over an iterator of the
+    partition's ``(chunk_id, ids, data)`` chunks (``_chunks``); each dict of
+    columns it yields becomes one Arrow record batch of ``schema``."""
     arrow_schema = to_arrow_schema(schema)
 
     def scan(batches):
         drop_zip_finders()
-        for chunk_id, ids, data in _chunks(batches):
-            yield pa.RecordBatch.from_pydict(fn(chunk_id, ids, data), schema=arrow_schema)
+        for columns in fn(_chunks(batches)):
+            yield pa.RecordBatch.from_pydict(columns, schema=arrow_schema)
         # a fresh worker's first Arrow conversion, and the chunk function,
         # import from the archives after the first drop
         drop_zip_finders()
@@ -388,33 +455,34 @@ def distributed_search(
     """End-to-end distributed exact (k-)NN search over a chunked dataset.
 
     ``share_bsf=False`` reproduces the DMESSI behaviour (each chunk prunes
-    with its local approximate BSF only)."""
+    with its local approximate BSF only) in one scan. With ``share_bsf``, a
+    layout in more than one Spark partition runs two scans: pass 1, the
+    driver's seed reduce, then pass 2. A layout in one partition (one
+    chunk, or ``coalesce(1)``) runs one scan whose task holds every chunk
+    and reduces the seeds itself, with the same answers and counters."""
     queries = _check_queries(queries, k)
-    seeds = None
-    extra_cost = None
-    if share_bsf:
-        # pass 1 ignores the search arguments but checks them, so a bad one
-        # fails on the driver before any Spark job runs
-        approx = chunk_search(
-            chunked_df, queries, approx_only=True, algorithm=algorithm,
-            distance=distance, warp=warp, k=k,
-        )
+    # an unknown algorithm or distance fails here, before the layout is read
+    _exact_search(algorithm, distance, warp, k)
+    search = {"algorithm": algorithm, "distance": distance, "warp": warp, "k": k}
+    # getNumPartitions plans the cached scan and runs no Spark job
+    if share_bsf and chunked_df.rdd.getNumPartitions() > 1:
+        approx = chunk_search(chunked_df, queries, approx_only=True, **search)
         _check_k(approx, k)
         seeds = _seeds_from_approx(approx, len(queries), k)
-        extra_cost = approx.groupby(["chunk_id", "query_id"])["total_cost"].sum()
-    stats = chunk_search(
-        chunked_df, queries, seeds=seeds, algorithm=algorithm,
-        distance=distance, warp=warp, k=k,
-    )
-    if extra_cost is None:
-        _check_k(stats, k)
-    else:
+        stats = chunk_search(chunked_df, queries, seeds=seeds, **search)
         # the approximate pass is real work a node performs; fold it into
         # the non-stealable part of the exact pass for the simulator
+        extra_cost = approx.groupby(["chunk_id", "query_id"])["total_cost"].sum()
         key = stats.set_index(["chunk_id", "query_id"]).index
         extra = extra_cost.reindex(key).fillna(0).to_numpy()
         stats["t_serial"] = stats["t_serial"].to_numpy() + extra
         stats["total_cost"] = stats["total_cost"].to_numpy() + extra
+    else:
+        # one scan: without sharing every query starts from +inf; with it,
+        # the layout's one task holds every chunk and reduces the seeds
+        seeds = None if share_bsf else np.full(len(queries), np.inf)
+        stats = chunk_search(chunked_df, queries, seeds=seeds, **search)
+        _check_k(stats, k)
     return DistResult(chunk_stats=stats, answers=_merge_answers(stats, k))
 
 
@@ -422,9 +490,10 @@ def build_only(chunked_df: DataFrame) -> pd.DataFrame:
     """Per-chunk index build statistics without answering any query."""
     schema = T.StructType([RESULT_SCHEMA[name] for name in _BUILD_FIELDS])
 
-    def fn(chunk_id: int, ids: np.ndarray, data: np.ndarray) -> dict:
-        build = _build_chunk(chunk_id, ids, data)[1]
-        return {name: [value] for name, value in build.items()}
+    def fn(chunks):
+        for chunk_id, ids, data in chunks:
+            build = _build_chunk(chunk_id, ids, data)[1]
+            yield {name: [value] for name, value in build.items()}
 
     stats = _collect(_chunk_scan(chunked_df, fn, schema))
     return stats.sort_values("chunk_id").reset_index(drop=True)

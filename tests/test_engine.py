@@ -179,15 +179,17 @@ def test_invalid_algorithm_rejected(setup):
         distributed_search(equally_split(df, 2), queries[:1], algorithm="nope")
 
 
-def test_invalid_distance_rejected_before_any_job(spark, setup):
+@pytest.mark.parametrize("n_chunks", [2, 1])
+def test_invalid_distance_rejected_before_any_job(spark, setup, n_chunks):
     data, queries, df, *_ = setup
-    chunked = equally_split(df, 2)
+    chunked = equally_split(df, n_chunks)
     sc = spark.sparkContext
-    sc.setJobGroup("bad-distance", "unknown distance")
+    group = f"bad-distance-{n_chunks}"
+    sc.setJobGroup(group, "unknown distance")
     try:
         with pytest.raises(ValueError, match="unknown distance"):
             distributed_search(chunked, queries[:1], distance="cosine")
-        assert sc.statusTracker().getJobIdsForGroup("bad-distance") == []
+        assert sc.statusTracker().getJobIdsForGroup(group) == []
     finally:
         sc.setLocalProperty("spark.jobGroup.id", None)
 
@@ -232,12 +234,14 @@ def _n_zip_finders() -> int:
     return sum(isinstance(f, zipimport.zipimporter) for f in sys.path_importer_cache.values())
 
 
-def _zip_finders(chunk_id, ids, data):
-    """Count the cached zip finders, then import a module from the archive,
-    which caches a finder of its own in a worker that has not imported it."""
-    n_zip = _n_zip_finders()
-    importlib.import_module(SCAN_IMPORT)
-    return {"chunk_id": [chunk_id], "pid": [os.getpid()], "n_zip": [n_zip]}
+def _zip_finders(chunks):
+    """Per chunk: count the cached zip finders, then import a module from
+    the archive, which caches a finder of its own in a worker that has not
+    imported it."""
+    for chunk_id, ids, data in chunks:
+        n_zip = _n_zip_finders()
+        importlib.import_module(SCAN_IMPORT)
+        yield {"chunk_id": [chunk_id], "pid": [os.getpid()], "n_zip": [n_zip]}
 
 
 def _cached_zip_finders(batches):
@@ -278,18 +282,19 @@ def test_scan_drops_zip_finders(spark, setup):
 UNIMPORTED, PACKAGE = "pyspark.sql.avro.functions", "pyspark.sql"
 
 
-def _import_unimported(chunk_id, ids, data):
-    imported_before = UNIMPORTED in sys.modules
-    package_dir = sys.modules[PACKAGE].__path__[0]
-    finder_before = package_dir in sys.path_importer_cache
-    module = importlib.import_module(UNIMPORTED)
-    return {
-        "chunk_id": [chunk_id],
-        "imported_before": [imported_before],
-        "finder_before": [finder_before],
-        "finder_after": [type(sys.path_importer_cache.get(package_dir)).__name__],
-        "file": [module.__file__],
-    }
+def _import_unimported(chunks):
+    for chunk_id, ids, data in chunks:
+        imported_before = UNIMPORTED in sys.modules
+        package_dir = sys.modules[PACKAGE].__path__[0]
+        finder_before = package_dir in sys.path_importer_cache
+        module = importlib.import_module(UNIMPORTED)
+        yield {
+            "chunk_id": [chunk_id],
+            "imported_before": [imported_before],
+            "finder_before": [finder_before],
+            "finder_after": [type(sys.path_importer_cache.get(package_dir)).__name__],
+            "file": [module.__file__],
+        }
 
 
 def test_import_after_dropped_finders(setup):
@@ -316,13 +321,23 @@ def test_import_after_dropped_finders(setup):
     assert got["file"].str.endswith(".zip/pyspark/sql/avro/functions.py").all(), got
 
 
-@pytest.mark.parametrize("share_bsf", [True, False])
-def test_k_up_to_the_number_of_series(spark, setup, share_bsf):
+#: (share_bsf, one_chunk): both modes on a multi-chunk layout, and BSF
+#: sharing on a one-chunk layout, which one scan answers
+SHARING = [
+    pytest.param(True, False, id="True"),
+    pytest.param(False, False, id="False"),
+    pytest.param(True, True, id="True-one-chunk"),
+]
+
+
+@pytest.mark.parametrize("share_bsf, one_chunk", SHARING)
+def test_k_up_to_the_number_of_series(spark, setup, share_bsf, one_chunk):
     """k may reach the number of series, above every chunk's size, and
     then returns every series per query in oracle order; a larger k is a
-    driver-side ValueError from the first scan."""
+    driver-side ValueError from the first scan, also from the one scan of
+    a one-chunk layout."""
     data, queries, *_ = setup
-    chunked = equally_split(series_df(spark, data[:10]), 3)
+    chunked = equally_split(series_df(spark, data[:10]), 1 if one_chunk else 3)
     try:
         res = distributed_search(chunked, queries[:3], k=10, share_bsf=share_bsf)
         assert_equivalent(
@@ -458,23 +473,52 @@ def test_layout_with_empty_chunks(spark):
 def test_parallel_and_serial_chunks_agree(setup, scheme, kwargs):
     """Running the chunks as parallel tasks never changes an answer or a
     work counter, whatever the layout: compare with all four chunks in one
-    task."""
+    task. The four tasks share the BSF through the driver's seed reduce in
+    two scans; the one task reduces the seeds itself in one scan, so every
+    column but the timings and the placement is identical."""
     data, queries, df, *_ = setup
     q = queries[:2] if kwargs.get("distance") == "dtw" else queries
     chunked = PARTITIONERS[scheme](df, 4)
-    parallel = distributed_search(chunked, q, **kwargs).chunk_stats
-    serial = distributed_search(chunked.coalesce(1), q, **kwargs).chunk_stats
-    assert parallel["partition_id"].nunique() == 4
-    assert serial["partition_id"].nunique() == 1
-    cols = [
-        "topk_dist", "topk_id", "leaf_lb", "series_lb", "real_series",
-        "total_cost", "pq_costs",
-    ]
+    parallel = distributed_search(chunked, q, **kwargs)
+    serial = distributed_search(chunked.coalesce(1), q, **kwargs)
+    assert parallel.chunk_stats["partition_id"].nunique() == 4
+    assert serial.chunk_stats["partition_id"].nunique() == 1
     key = ["chunk_id", "query_id"]
-    a = parallel.sort_values(key).set_index(key)[cols]
-    b = serial.sort_values(key).set_index(key)[cols]
+    timing_and_placement = {"elapsed", "build_elapsed", "partition_id", "worker_pid"}
+    cols = [c for c in engine.RESULT_SCHEMA.names if c not in timing_and_placement | set(key)]
+    a = parallel.chunk_stats.sort_values(key).set_index(key)[cols]
+    b = serial.chunk_stats.sort_values(key).set_index(key)[cols]
     assert len(a) == 4 * len(q)
     assert a.equals(b)
+    pd.testing.assert_frame_equal(parallel.answers, serial.answers)
+
+
+#: name -> (layout of the fixture's series, its Spark partitions)
+JOB_LAYOUTS = {
+    "one-chunk": (lambda df: equally_split(df, 1), 1),
+    "coalesced": (lambda df: equally_split(df, 4).coalesce(1), 1),
+    "four-chunks": (lambda df: equally_split(df, 4), 4),
+}
+
+
+@pytest.mark.parametrize("share_bsf", [True, False])
+@pytest.mark.parametrize("layout", sorted(JOB_LAYOUTS))
+def test_spark_jobs_per_search(spark, setup, layout, share_bsf):
+    """A search is one Spark job, except BSF sharing across partitions: a
+    layout in one partition reduces the seeds inside its one task, and
+    reading the partition count starts no job."""
+    data, queries, df, *_ = setup
+    make, n_partitions = JOB_LAYOUTS[layout]
+    chunked = make(df)
+    sc = spark.sparkContext
+    group = f"jobs-{layout}-{share_bsf}"
+    sc.setJobGroup(group, "jobs per search")
+    try:
+        distributed_search(chunked, queries[:2], share_bsf=share_bsf)
+        n_jobs = len(sc.statusTracker().getJobIdsForGroup(group))
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    assert n_jobs == (2 if share_bsf and n_partitions > 1 else 1)
 
 
 @pytest.mark.parametrize("scheme", sorted(PARTITIONERS))
@@ -646,15 +690,15 @@ def test_ragged_series_rejected_by_every_partitioner(spark, setup, scheme):
             chunked.unpersist()
 
 
-@pytest.mark.parametrize("share_bsf", [True, False])
+@pytest.mark.parametrize("share_bsf, one_chunk", SHARING)
 @pytest.mark.parametrize("length", [56, 60])
-def test_wrong_query_length_rejected(spark, share_bsf, length):
+def test_wrong_query_length_rejected(spark, share_bsf, one_chunk, length):
     """Queries of another length than the series are a driver-side
     ValueError from the first pass that scans the chunks, not a numpy
     error inside a worker."""
     data = clustered_walks_np(200, 64, seed=7)
     queries = make_queries_np(data, 2, seed=9)[0][:, :length]
-    chunked = equally_split(series_df(spark, data), 2)
+    chunked = equally_split(series_df(spark, data), 1 if one_chunk else 2)
     try:
         with pytest.raises(
             ValueError, match=rf"^chunk [01]: queries have length {length}, series have length 64$"
@@ -783,16 +827,20 @@ def test_vectorised_merge_and_seeds_match_loops(seed):
         )
 
 
-def test_tracing_contract(setup, monkeypatch):
+@pytest.mark.parametrize("n_chunks", [2, 1], ids=["two-pass", "one-chunk"])
+def test_tracing_contract(setup, monkeypatch, n_chunks):
     """The benchmark's tracer wraps engine attributes by name, tells the
     passes apart by ``approx_only`` and reads result columns: every target
-    exists, ``distributed_search`` runs pass 1 with ``approx_only=True``,
-    the seed reduce, pass 2 without it and the merge, and the per-layer
-    table reads only ``RESULT_SCHEMA`` columns."""
+    exists; ``distributed_search`` runs pass 1 with ``approx_only=True``,
+    the seed reduce, pass 2 without it and the merge, or, on a one-chunk
+    layout, its one scan without ``approx_only`` and the merge; and the
+    per-layer table reads only ``RESULT_SCHEMA`` columns. The one scan's
+    rows already hold pass 1's work, so the table reads the work of the
+    two passes."""
     from e2ebench import tracing
 
     data, queries, df, *_ = setup
-    chunked = equally_split(df, 2)
+    chunked = equally_split(df, n_chunks)
     calls = []
     for attr in tracing.ENGINE_TARGETS:
         fn = getattr(engine, attr)
@@ -803,9 +851,9 @@ def test_tracing_contract(setup, monkeypatch):
 
         monkeypatch.setattr(engine, attr, record)
     distributed_search(chunked, queries[:3])
+    two_pass = n_chunks > 1
     assert calls == [
-        ("chunk_search", True),
-        ("_seeds_from_approx", False),
+        *([("chunk_search", True), ("_seeds_from_approx", False)] if two_pass else []),
         ("chunk_search", False),
         ("_merge_answers", False),
     ]
@@ -817,10 +865,21 @@ def test_tracing_contract(setup, monkeypatch):
         res = distributed_search(chunked, queries[:3])
     assert tracer.missing == set()
     assert [s["name"] for s in tracer.spans] == [
-        "engine.pass1", "engine.seed_reduce", "engine.pass2", "engine.merge",
+        *(["engine.pass1", "engine.seed_reduce"] if two_pass else []),
+        "engine.pass2",
+        "engine.merge",
     ]
     assert all(list(f.columns) == engine.RESULT_SCHEMA.names for *_, f in tracer.frames)
     # predictor_r2=None also runs the predictor probe over the run's stats
     it = SimpleNamespace(predictor_r2=None, n_steals=0, sim_imbalance=1.0, searches={"run": res})
     layers = tracing.iteration_layers(tracer, 0, it, scan_s=1.0)
     assert all(np.isfinite(v) for v in layers.values())
+    if not two_pass:
+        # the two passes run by hand on the same layout
+        tracer.iteration = 1
+        with tracer.patched(engine):
+            approx = engine.chunk_search(chunked, queries[:3], approx_only=True)
+            seeds = engine._seeds_from_approx(approx, 3, 1)
+            engine.chunk_search(chunked, queries[:3], seeds=seeds)
+        passes = tracing.iteration_layers(tracer, 1, it, scan_s=1.0)
+        assert layers["work_mu_per_query"] == passes["work_mu_per_query"]
