@@ -12,6 +12,11 @@ bounds are one vectorised MINDIST over a matrix) and one slice of
 ``leaf_order`` (its members: chunk rows, leaf after leaf, cut by
 ``leaf_offsets``), so the members of any set of leaves are one gather.
 
+A built index is also its rows written in leaf order, each with its leaf
+number and the leaf's cardinalities (the layout the distributed engine
+caches): ``load_index`` reads those rows back into the same index, with
+``leaf_order`` the identity, and runs no tree build.
+
 Build-cost accounting mirrors the paper's evaluation measures: *buffer cost*
 (summarisation flops ∝ n·L) and *tree cost* (∝ node visits), which together
 give the "index time" reported in the scalability experiments.
@@ -37,6 +42,7 @@ class ISaxIndex:
     data: np.ndarray  # (n, L) raw (z-normalised) series
     paa: np.ndarray  # (n, w)
     leaf_root: np.ndarray  # (n_leaves,) root subtree of each leaf, ascending
+    leaf_card: np.ndarray  # (n_leaves, w) cardinality bits of each leaf's region
     leaf_lo: np.ndarray  # (n_leaves, w) region bounds
     leaf_hi: np.ndarray
     leaf_order: np.ndarray  # (n,) chunk rows, leaf after leaf
@@ -114,12 +120,14 @@ def build_index(
                 p2 = pre.copy()
                 p2[seg] = pre[seg] * 2 + v
                 stack.append((c2, p2, child))
-    leaf_lo, leaf_hi = region_bounds(np.stack(prefixes), np.stack(cards))
+    leaf_card = np.stack(cards)
+    leaf_lo, leaf_hi = region_bounds(np.stack(prefixes), leaf_card)
     return ISaxIndex(
         ids=ids,
         data=data,
         paa=p,
         leaf_root=np.array(leaf_root, dtype=np.int64),
+        leaf_card=leaf_card,
         leaf_lo=leaf_lo,
         leaf_hi=leaf_hi,
         leaf_order=np.concatenate(members),
@@ -128,6 +136,40 @@ def build_index(
         length=data.shape[1],
         buffer_cost=float(data.size),  # one pass over every point
         tree_cost=float(node_visits * w + len(ids)),
+    )
+
+
+def load_index(
+    ids: np.ndarray,
+    data: np.ndarray,
+    leaf_offsets: np.ndarray,
+    leaf_card: np.ndarray,
+    tree_cost: float,
+) -> ISaxIndex:
+    """The index whose rows are ``ids``/``data`` in leaf order: leaf ``j`` is
+    rows ``leaf_offsets[j]:leaf_offsets[j + 1]``, with cardinalities
+    ``leaf_card[j]``; ``tree_cost`` is the build's. Every member of a leaf
+    lies in its region, so the leaf's root and its symbol prefixes are those
+    of its first member's symbols, cut to the leaf's cardinalities."""
+    w = leaf_card.shape[1]
+    p = paa(data, w)
+    first = symbols(p[leaf_offsets[:-1]], MAX_BITS)
+    leaf_card = leaf_card.astype(np.int64)
+    leaf_lo, leaf_hi = region_bounds(first >> (MAX_BITS - leaf_card), leaf_card)
+    return ISaxIndex(
+        ids=ids,
+        data=data,
+        paa=p,
+        leaf_root=root_ids(first),
+        leaf_card=leaf_card,
+        leaf_lo=leaf_lo,
+        leaf_hi=leaf_hi,
+        leaf_order=np.arange(len(ids)),
+        leaf_offsets=leaf_offsets,
+        w=w,
+        length=data.shape[1],
+        buffer_cost=float(data.size),
+        tree_cost=float(tree_cost),
     )
 
 

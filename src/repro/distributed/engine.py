@@ -7,12 +7,20 @@ cache it in the session, eagerly, so the scan is planned against the built
 cache and keeps its partitioning (a lazy cache makes Spark add a hash
 exchange on ``chunk_id``; ``localCheckpoint`` drops the partitioning): every
 pass and every batch reads the resident chunks and reruns neither the
-shuffle nor a partitioner's UDFs. Query answering is a per-partition scan,
-``mapInArrow`` over the cached layout: the Python worker receives the
-partition's Arrow record batches, turns the ``series`` list column into one
-C-contiguous ``(n, L)`` float64 matrix (from the flat list values, no
-per-series objects), builds the chunk's iSAX index over it and answers the
-*whole query batch* against it — one "node" execution per chunk. The scan
+shuffle nor a partitioner's UDFs nor the index build. The layout build
+(``build_layout``, one ``mapInArrow``) turns each chunk's ``series`` list
+column into one C-contiguous ``(n, L)`` float64 matrix (from the flat list
+values, no per-series objects), rejects empty, ragged or non-finite series
+naming the chunk, builds the chunk's iSAX index once and writes the chunk
+back in the index's leaf order: one row per series, its series as L
+float64s of bytes, its leaf and the leaf's cardinalities, and the build's
+tree cost and seconds (``LAYOUT_SCHEMA``). Query answering is a
+per-partition scan, ``mapInArrow`` over the cached layout: the Python
+worker loads the chunk's index from its rows (``_indexes``: the series
+bytes are the data matrix, the runs of ``leaf`` the leaves; only the PAA
+and the leaves' bounds are recomputed) and answers the *whole query batch*
+against it — one "node" execution per chunk. Rows out of leaf order (a
+layout sorted after the build) are rejected naming the chunk. The scan
 adds no sort and no exchange; each chunk runs as its own Spark task, in
 parallel up to the session's cores, and returns one Arrow record batch of
 typed columns (``topk_dist``/``topk_id``/``pq_costs`` are arrays). Every
@@ -24,8 +32,9 @@ raises that as a ``ValueError``; so is a ``k`` above the number of series.
 PySpark starts every task in a reused Python worker by invalidating the
 import caches, which on Python 3.11 makes each cached zip-archive finder
 re-read all of ``pyspark.zip``'s directory (0.13–0.3 s of CPU per task);
-the scan therefore drops those finders (``drop_zip_finders``) before and
-after its chunks, so later tasks re-read nothing. BSF sharing is a
+the scan and the layout build therefore drop those finders
+(``drop_zip_finders``) before and after their chunks, so later tasks
+re-read nothing. BSF sharing is a
 two-pass dataflow when the layout spans several Spark partitions:
 
   pass 1  approximate search per chunk (ED, for DTW queries too)  →
@@ -35,7 +44,7 @@ two-pass dataflow when the layout spans several Spark partitions:
           task closure)
 
 A layout in one Spark partition (one chunk, as under FULL replication, or
-a ``coalesce(1)`` layout) runs one scan instead. Its one task builds each
+a ``coalesce(1)`` layout) runs one scan instead. Its one task loads each
 chunk's index once and runs pass 1 on every chunk; since it holds every
 chunk, its pool of approximate answers is the one the driver would
 collect, and it reduces them with the driver's own function
@@ -64,11 +73,12 @@ import pyarrow as pa
 from pyspark import TaskContext
 from pyspark.errors import PythonException
 from pyspark.sql import DataFrame
+from pyspark.sql import functions as F
 from pyspark.sql import types as T
 from pyspark.sql.pandas.types import to_arrow_schema
 
 from ..core.dtw import exact_search_dtw
-from ..core.index import build_index
+from ..core.index import ISaxIndex, build_index, load_index
 from ..core.search import SearchStats, approximate_search, exact_search
 
 RESULT_SCHEMA = T.StructType(
@@ -156,8 +166,9 @@ def _make_worker(
 
 
 def _answer_partition(chunks, *, queries, approx_only, seeds, search, k):
-    """Build each of one Spark partition's chunks' index once and answer
-    the query batch on it; yields one dict of result columns per chunk.
+    """Answer the query batch on each of one Spark partition's chunks
+    (``_indexes``: the index loaded from the layout); yields one dict of
+    result columns per chunk.
 
     ``approx_only`` runs pass 1, the approximate search alone. Otherwise
     each query's exact search starts from its entry in ``seeds``. Without
@@ -169,16 +180,16 @@ def _answer_partition(chunks, *, queries, approx_only, seeds, search, k):
     then folded into its row as the driver folds it, and its time into
     ``elapsed``."""
 
-    def built():
-        for chunk_id, ids, data in chunks:
-            if queries.shape[1] != data.shape[1]:
+    def loaded():
+        for chunk_id, index, _, load_elapsed in chunks:
+            if queries.shape[1] != index.length:
                 raise ValueError(
                     f"chunk {chunk_id}: queries have length {queries.shape[1]}, "
-                    f"series have length {data.shape[1]}"
+                    f"series have length {index.length}"
                 )
-            yield _build_chunk(chunk_id, ids, data)
+            yield index, _chunk_record(chunk_id, index, load_elapsed)
 
-    indexes, pass1 = built(), None
+    indexes, pass1 = loaded(), None
     if seeds is None and not approx_only:
         indexes = list(indexes)
         pass1 = [
@@ -230,12 +241,9 @@ def _query_row(st: SearchStats) -> dict:
     }
 
 
-def _build_chunk(chunk_id: int, ids: np.ndarray, data: np.ndarray):
-    """Build one chunk's index; returns it and the chunk's build record."""
-    t0 = time.perf_counter()
-    index = build_index(ids, data)
-    build_elapsed = time.perf_counter() - t0
-    return index, {
+def _chunk_record(chunk_id: int, index: ISaxIndex, build_elapsed: float) -> dict:
+    """The build record of one chunk's index, placed in the running task."""
+    return {
         "chunk_id": chunk_id,
         "n_series": index.n_series,
         "n_leaves": index.n_leaves,
@@ -259,7 +267,8 @@ def chunk_search(
     warp: float = 0.05,
     k: int = 1,
 ) -> pd.DataFrame:
-    """One scan: per-chunk index build + batch query answering. Pass 1
+    """One scan: load each chunk's index from the layout and answer the
+    query batch on it. Pass 1
     (``approx_only``) runs the approximate search; otherwise each query's
     exact search starts from its entry in ``seeds`` (+inf: no seed), or,
     without ``seeds``, from the seeds each task reduces from its own
@@ -273,24 +282,163 @@ def chunk_search(
         warp=warp,
         k=k,
     )
-    return _collect(_chunk_scan(chunked_df, fn, RESULT_SCHEMA))
+    return _collect(chunked_df, fn, RESULT_SCHEMA)
 
 
 def _chunk_scan(chunked_df: DataFrame, fn, schema: T.StructType) -> DataFrame:
     """Run ``fn(chunks)`` once per Spark partition, over an iterator of the
-    partition's ``(chunk_id, ids, data)`` chunks (``_chunks``); each dict of
-    columns it yields becomes one Arrow record batch of ``schema``."""
+    partition's chunks as ``(chunk_id, index, build_elapsed, load_elapsed)``
+    (``_indexes``); each dict of columns it yields becomes one Arrow record
+    batch of ``schema``."""
     arrow_schema = to_arrow_schema(schema)
 
     def scan(batches):
         drop_zip_finders()
-        for columns in fn(_chunks(batches)):
+        for columns in fn(_indexes(batches)):
             yield pa.RecordBatch.from_pydict(columns, schema=arrow_schema)
         # a fresh worker's first Arrow conversion, and the chunk function,
         # import from the archives after the first drop
         drop_zip_finders()
 
-    return chunked_df.select("chunk_id", "id", "series").mapInArrow(scan, schema)
+    return chunked_df.select(*LAYOUT_SCHEMA.names).mapInArrow(scan, schema)
+
+
+#: the cached layout: one row per series, each chunk's rows in the leaf
+#: order of its index (``build_layout``)
+LAYOUT_SCHEMA = T.StructType(
+    [
+        T.StructField("chunk_id", T.IntegerType()),
+        T.StructField("id", T.LongType()),
+        T.StructField("series", T.BinaryType()),  # L float64s
+        T.StructField("leaf", T.IntegerType()),  # the row's leaf in its chunk's index
+        T.StructField("card", T.BinaryType()),  # the leaf's cardinality bits, w bytes
+        T.StructField("tree_cost", T.DoubleType()),  # the chunk's build, on every row
+        T.StructField("build_elapsed", T.DoubleType()),
+    ]
+)
+_LAYOUT_ARROW = to_arrow_schema(LAYOUT_SCHEMA)
+#: rows per record batch of a chunk's layout: the build holds one batch's
+#: copy of the series at a time, not a second copy of the chunk
+LAYOUT_BATCH_ROWS = 10_000
+
+
+def build_layout(df: DataFrame) -> DataFrame:
+    """The layout of a DataFrame ``(chunk_id, id, series)`` whose chunks
+    each lie in one Spark partition: one Arrow map that builds each
+    chunk's index once and writes the chunk's rows in its leaf order
+    (``LAYOUT_SCHEMA``). Series that are empty, differ in length within a
+    chunk or are not finite raise ``ValueError`` naming the chunk."""
+    return df.select("chunk_id", "id", "series").mapInArrow(_write_layout, LAYOUT_SCHEMA)
+
+
+def _write_layout(batches):
+    """``build_layout``'s function over one partition's record batches."""
+    drop_zip_finders()
+    for chunk_id, ids, data in _chunks(batches):
+        t0 = time.perf_counter()
+        index = build_index(ids, data)
+        yield from _layout_batches(chunk_id, index, time.perf_counter() - t0)
+    drop_zip_finders()
+
+
+def _layout_batches(chunk_id: int, index: ISaxIndex, build_elapsed: float):
+    """One chunk's layout rows, leaf after leaf in ``leaf_order``, as record
+    batches of at most ``LAYOUT_BATCH_ROWS`` rows."""
+    leaf = np.repeat(np.arange(index.n_leaves, dtype=np.int32), np.diff(index.leaf_offsets))
+    card = index.leaf_card.astype(np.uint8)
+    for start in range(0, index.n_series, LAYOUT_BATCH_ROWS):
+        rows = index.leaf_order[start : start + LAYOUT_BATCH_ROWS]
+        leaves = leaf[start : start + LAYOUT_BATCH_ROWS]
+        n = len(rows)
+        yield pa.RecordBatch.from_arrays(
+            [
+                pa.array(np.full(n, chunk_id, dtype=np.int32)),
+                pa.array(index.ids[rows]),
+                _binary_rows(index.data[rows]),
+                pa.array(leaves),
+                _binary_rows(card[leaves]),
+                pa.array(np.full(n, index.tree_cost)),
+                pa.array(np.full(n, build_elapsed)),
+            ],
+            schema=_LAYOUT_ARROW,
+        )
+
+
+def _binary_rows(block: np.ndarray) -> pa.BinaryArray:
+    """One binary value per row of a C-contiguous 2-D array, on its memory."""
+    width = block.shape[1] * block.itemsize
+    offsets = np.arange(len(block) + 1, dtype=np.int32) * width
+    return pa.BinaryArray.from_buffers(
+        pa.binary(), len(block), [None, pa.py_buffer(offsets), pa.py_buffer(block)]
+    )
+
+
+def _binary_values(arrays: list) -> tuple[np.ndarray, np.ndarray]:
+    """The bytes of binary arrays, one after another, and each value's
+    length; a view of the Arrow buffer when there is one array."""
+    views, lengths = [], []
+    for a in arrays:
+        _, offsets, data = a.buffers()
+        offsets = np.frombuffer(offsets, np.int32, len(a) + 1, 4 * a.offset)  # the slice's
+        lengths.append(np.diff(offsets))
+        views.append(
+            np.frombuffer(data, np.uint8, offsets[-1] - offsets[0], offsets[0])
+        )
+    return (views[0] if len(views) == 1 else np.concatenate(views)), np.concatenate(lengths)
+
+
+def _rows_matrix(values, lengths, starts, rows, dtype, what: str, chunk_id: int):
+    """The binary values of ``rows`` as one ``(len(rows), width)`` matrix
+    of ``dtype``: a view of ``values`` when the rows are one run."""
+    size = int(lengths[rows[0]])
+    if size == 0 or size % dtype.itemsize or (lengths[rows] != size).any():
+        raise ValueError(f"chunk {chunk_id}: the layout's {what} must be of one length")
+    if rows[-1] - rows[0] == len(rows) - 1:
+        block = values[starts[rows[0]] : starts[rows[0]] + len(rows) * size]
+    else:
+        block = values[starts[rows, None] + np.arange(size)]
+    return block.view(dtype).reshape(len(rows), size // dtype.itemsize)
+
+
+def _indexes(batches):
+    """The chunks in one partition's layout record batches, loaded
+    (``load_index``): ``(chunk_id, index, build_elapsed, load_elapsed)``
+    per chunk id, the layout's build seconds and the seconds this task
+    spent loading it. ``index.data`` is a view of the series bytes when
+    the chunk arrives as one run of one record batch. Raises
+    ``ValueError`` naming the chunk when its rows are not in leaf order:
+    a layout reordered or split after the partitioner wrote it."""
+    batches = [b for b in batches if b.num_rows]
+    if not batches:
+        return
+    t0 = time.perf_counter()
+    chunk_ids, ids, leaf, tree_cost, build_elapsed = (
+        np.concatenate([b.column(name).to_numpy() for b in batches])
+        for name in ("chunk_id", "id", "leaf", "tree_cost", "build_elapsed")
+    )
+    series = _binary_values([b.column("series") for b in batches])
+    cards = _binary_values([b.column("card") for b in batches])
+    del batches  # the series bytes are a view of the one batch, or a copy
+    starts = [np.cumsum(lengths) - lengths for _, lengths in (series, cards)]
+    order = np.argsort(chunk_ids, kind="stable")
+    for rows in np.split(order, np.flatnonzero(np.diff(chunk_ids[order])) + 1):
+        chunk_id = int(chunk_ids[rows[0]])
+        step = np.diff(leaf[rows])
+        if (step < 0).any():
+            raise ValueError(
+                f"chunk {chunk_id}: rows are not in the leaf order of the chunk's "
+                "index; lay the dataset out with a partitioner, which writes each "
+                "chunk in leaf order in a partition of its own"
+            )
+        offsets = np.concatenate(([0], np.flatnonzero(step) + 1, [len(rows)]))
+        data = _rows_matrix(*series, starts[0], rows, np.dtype(np.float64), "series", chunk_id)
+        card = _rows_matrix(
+            *cards, starts[1], rows[offsets[:-1]], np.dtype(np.uint8), "cards", chunk_id
+        )
+        index = load_index(ids[rows], data, offsets, card, tree_cost[rows[0]])
+        t1 = time.perf_counter()
+        yield chunk_id, index, float(build_elapsed[rows[0]]), t1 - t0
+        t0 = t1
 
 
 def drop_zip_finders() -> None:
@@ -305,8 +453,8 @@ def drop_zip_finders() -> None:
     task's function starts. With the finders gone, the next task's
     invalidation has nothing to re-read. The cache holds only finders:
     modules already imported stay, and Python builds a new finder on the
-    next import from an archive. The chunk scan calls this first and
-    last, the partitioners' pandas UDFs first."""
+    next import from an archive. The chunk scan and the layout build call
+    this first and last, the partitioners' pandas UDFs first."""
     for path, finder in list(sys.path_importer_cache.items()):
         if isinstance(finder, zipimport.zipimporter):
             del sys.path_importer_cache[path]
@@ -314,7 +462,7 @@ def drop_zip_finders() -> None:
 
 def _chunks(batches):
     """The chunks in one partition's ``(chunk_id, id, series)`` record
-    batches: ``(chunk_id, ids, data)`` per chunk id, rows in arrival order,
+    batches, as the layout build reads them: ``(chunk_id, ids, data)`` per chunk id, rows in arrival order,
     ``data`` one C-contiguous ``(n, L)`` float64 matrix made from the flat
     list values (``ListArray.flatten`` respects a slice's offsets), a view
     when the chunk's rows arrive as one run. Raises ``ValueError`` naming
@@ -361,11 +509,11 @@ def _chunks(batches):
 _BAD_INPUT = re.compile(r"^ValueError: ((?:chunk -?\d+: |series ).*)$", re.M)
 
 
-def to_pandas(df: DataFrame) -> pd.DataFrame:
-    """``df.toPandas()``, with bad input that a Python worker found raised
-    here as a ``ValueError`` with the worker's message."""
+def run_job(action):
+    """Run ``action()``, a Spark action, with bad input that a Python worker
+    found raised here as a ``ValueError`` with the worker's message."""
     try:
-        return df.toPandas()
+        return action()
     except PythonException as e:
         bad = _BAD_INPUT.search(str(e))
         if bad is None:
@@ -373,19 +521,37 @@ def to_pandas(df: DataFrame) -> pd.DataFrame:
         raise ValueError(bad.group(1)) from None
 
 
-def _collect(scan: DataFrame) -> pd.DataFrame:
-    """Run a chunk scan and bring its rows to the driver (``to_pandas``).
-    A chunk whose rows came from more than one Spark partition (a layout
-    not made by a partitioner) is rejected: each piece would be answered
-    as a chunk of its own."""
-    stats = to_pandas(scan)
-    spread = stats.groupby("chunk_id")["partition_id"].nunique()
+def to_pandas(df: DataFrame) -> pd.DataFrame:
+    """``df.toPandas()``, raising bad input as ``run_job`` does."""
+    return run_job(df.toPandas)
+
+
+def _check_placement(placed: pd.DataFrame) -> None:
+    """Reject chunks whose rows (``chunk_id``/``partition_id`` pairs) lie in
+    more than one Spark partition: each piece would be answered as a chunk
+    of its own."""
+    spread = placed.groupby("chunk_id")["partition_id"].nunique()
     if (spread > 1).any():
         raise ValueError(
             f"chunks {spread.index[spread > 1].tolist()} span more than one "
             "Spark partition; lay the dataset out with a partitioner, which "
             "puts each chunk in a partition of its own"
         )
+
+
+def _collect(chunked_df: DataFrame, fn, schema: T.StructType) -> pd.DataFrame:
+    """Run a chunk scan and bring its rows to the driver (``to_pandas``),
+    rejecting a chunk split over Spark partitions (a layout not made by a
+    partitioner). The pieces of a split chunk are most often out of leaf
+    order too, which fails the scan first: then one more job reads the
+    layout's placement, so that the split is what is reported."""
+    try:
+        stats = to_pandas(_chunk_scan(chunked_df, fn, schema))
+    except ValueError:
+        placed = chunked_df.select("chunk_id", F.spark_partition_id().alias("partition_id"))
+        _check_placement(to_pandas(placed.distinct()))
+        raise
+    _check_placement(stats)
     return stats
 
 
@@ -487,13 +653,15 @@ def distributed_search(
 
 
 def build_only(chunked_df: DataFrame) -> pd.DataFrame:
-    """Per-chunk index build statistics without answering any query."""
+    """Per-chunk build records stored in the layout, without answering any
+    query or building any index: ``build_elapsed`` is the layout build's
+    seconds, ``partition_id``/``worker_pid`` the task that read it."""
     schema = T.StructType([RESULT_SCHEMA[name] for name in _BUILD_FIELDS])
 
     def fn(chunks):
-        for chunk_id, ids, data in chunks:
-            build = _build_chunk(chunk_id, ids, data)[1]
+        for chunk_id, index, build_elapsed, _ in chunks:
+            build = _chunk_record(chunk_id, index, build_elapsed)
             yield {name: [value] for name, value in build.items()}
 
-    stats = _collect(_chunk_scan(chunked_df, fn, schema))
+    stats = _collect(chunked_df, fn, schema)
     return stats.sort_values("chunk_id").reset_index(drop=True)

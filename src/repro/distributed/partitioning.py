@@ -1,12 +1,16 @@
 """Data partitioning (paper §3.4): EQUALLY-SPLIT and DENSITY-AWARE.
 
-Both take a series DataFrame ``(id, series)`` and return it with an INT
-``chunk_id`` column in ``[0, n_chunks)``, laid out so that chunk ``c`` is
-exactly Spark partition ``c`` (``one_chunk_per_partition``): the engine's
-per-partition scan then runs every chunk as its own parallel task. The returned
-layout is built once, when the partitioner returns, and cached in the
-session (memory and disk), so every search pass scans resident chunks;
-``unpersist()`` on it frees the cache.
+Both take a series DataFrame ``(id, series)`` and return its layout: one
+row per series with an INT ``chunk_id`` in ``[0, n_chunks)``, chunk ``c``
+exactly Spark partition ``c`` (``one_chunk_per_partition``), so the
+engine's per-partition scan runs every chunk as its own parallel task. The
+layout also holds each chunk's iSAX index: the chunk's rows are written in
+the leaf order of the index built over them, with each row's leaf
+(``engine.LAYOUT_SCHEMA``; ``series`` is then L float64s as bytes). The
+layout and its indexes are built once, when the partitioner returns, and
+cached in the session (memory and disk), so every search pass loads
+resident indexes and builds none; bad series fail there, as a driver-side
+``ValueError``. ``unpersist()`` on the layout frees the cache.
 EQUALLY-SPLIT assigns contiguous ranges in id (storage) order, optionally
 after random shuffling (the paper's "RS"). DENSITY-AWARE orders the
 summarization buffers by Gray code, stripes the λ largest buffers across
@@ -23,7 +27,7 @@ from pyspark.sql import types as T
 
 from ..core.isax import MAX_BITS, W, inverse_gray, pack_symbols, symbols
 from ..core.paa import paa
-from .engine import drop_zip_finders, to_pandas
+from .engine import build_layout, drop_zip_finders, run_job, to_pandas
 
 #: bits per segment of a summarization-buffer word (16-bit words)
 BUFFER_BITS = 2
@@ -42,7 +46,8 @@ def check_n_chunks(n_chunks: int, n_series: int) -> None:
 
 def one_chunk_per_partition(df: DataFrame, n_chunks: int) -> DataFrame:
     """Lay out a DataFrame with a ``chunk_id`` column so that chunk ``c``
-    is exactly Spark partition ``c``, and build that layout once.
+    is exactly Spark partition ``c``, build each chunk's index once and
+    cache the layout with it.
 
     ``repartitionById`` places rows by the value of an INT column, so the
     engine's per-partition scan (``mapInArrow``) finds each chunk whole in
@@ -53,22 +58,34 @@ def one_chunk_per_partition(df: DataFrame, n_chunks: int) -> DataFrame:
     without a partition count is merged by adaptive execution. A single
     chunk needs no shuffle at all.
 
+    One Arrow map over each partition then builds its chunk's iSAX index
+    and writes the chunk's rows in the index's leaf order
+    (``engine.build_layout``): one row per series, its series as bytes, its
+    leaf and the leaf's cardinalities, so a scan loads the index instead of
+    building it. Bad series (empty, ragged or not finite) fail here, as a
+    driver-side ``ValueError`` naming the chunk.
+
     The layout is cached in the session (``persist()``: memory and disk,
     Spark's DataFrame default) and built here by one ``count()``, so every
     later scan reads the resident chunks and nothing upstream of them (the
-    local scan, the shuffle, a partitioner's UDFs) runs again. The build is
-    eager so that this one-time work is set-up, and because the output
-    partitioning of an adaptive cached plan is known only once the cache is
-    built. ``localCheckpoint()`` is no substitute: it drops the partitioning
-    altogether. The caller frees the layout with ``unpersist()``."""
+    local scan, the shuffle, a partitioner's UDFs, the index build) runs
+    again. The build is eager so that this one-time work is set-up, and
+    because the output partitioning of an adaptive cached plan is known
+    only once the cache is built. ``localCheckpoint()`` is no substitute:
+    it drops the partitioning altogether. A failed build frees its cache;
+    otherwise the caller frees the layout with ``unpersist()``."""
     df = df.withColumn("chunk_id", F.col("chunk_id").cast("int"))
     if n_chunks == 1:
         df = df.coalesce(1)
     else:
         df = df.repartitionById(n_chunks, "chunk_id")
-    df.persist()
-    df.count()
-    return df
+    layout = build_layout(df).persist()
+    try:
+        run_job(layout.count)
+    except BaseException:
+        layout.unpersist()
+        raise
+    return layout
 
 
 def cut_index(col: Column, cuts) -> Column:

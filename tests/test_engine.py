@@ -9,10 +9,12 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pytest
+from pyspark.sql import functions as F
 from pyspark.sql import types as T
 from pyspark.sql.pandas.types import to_arrow_schema
 
 from repro.baselines.dpisax import dpisax_partition
+from repro.core.index import build_index
 from repro.core.isax import W
 from repro.distributed import engine
 from repro.distributed.engine import build_only, chunk_search, distributed_search
@@ -166,6 +168,27 @@ def test_build_only_per_chunk(setup):
     assert (stats["buffer_cost"] == stats["n_series"] * L).all()
 
 
+@pytest.mark.parametrize("scheme", sorted(PARTITIONERS))
+def test_build_only_reads_the_layouts_build(spark, setup, scheme):
+    """``build_only`` reports the index each chunk's layout was built with,
+    as an in-process build over the chunk's series gives it, and the build's
+    own seconds."""
+    data, _, df, *_ = setup
+    chunked = PARTITIONERS[scheme](df, 3)
+    members = chunked.select("chunk_id", "id").toPandas()
+    stats = build_only(chunked).set_index("chunk_id")
+    assert (stats["build_elapsed"] > 0).all()
+    for chunk_id, ids in members.groupby("chunk_id")["id"]:
+        ids = np.sort(ids.to_numpy())
+        index = build_index(ids, data[ids])
+        got = stats.loc[chunk_id]
+        assert got["n_series"] == index.n_series
+        assert got["n_leaves"] == index.n_leaves
+        assert got["buffer_cost"] == index.buffer_cost
+        assert got["tree_cost"] == index.tree_cost
+        assert got["index_bytes"] == index.index_bytes()
+
+
 def test_chunk_search_single_pass(setup):
     data, queries, df, *_ = setup
     stats = chunk_search(equally_split(df, 2), queries[:2], approx_only=True)
@@ -238,7 +261,7 @@ def _zip_finders(chunks):
     """Per chunk: count the cached zip finders, then import a module from
     the archive, which caches a finder of its own in a worker that has not
     imported it."""
-    for chunk_id, ids, data in chunks:
+    for chunk_id, *_ in chunks:
         n_zip = _n_zip_finders()
         importlib.import_module(SCAN_IMPORT)
         yield {"chunk_id": [chunk_id], "pid": [os.getpid()], "n_zip": [n_zip]}
@@ -277,13 +300,53 @@ def test_scan_drops_zip_finders(spark, setup):
     assert (counts["n_zip"] == 0).all(), counts
 
 
+#: a pyspark module that only ``_build_layout_then_count`` imports
+BUILD_IMPORT = "pyspark.ml.linalg"
+
+
+def _build_layout_then_count(batches):
+    """Build a layout over the task's rows (``engine._write_layout``) from
+    an input that imports a module from the archive once it is read, as a
+    fresh worker's Arrow conversion does; then count the zip finders the
+    worker holds."""
+
+    def importing():
+        yield from batches
+        importlib.import_module(BUILD_IMPORT)
+
+    for _ in engine._write_layout(importing()):
+        pass
+    yield pa.RecordBatch.from_pydict(
+        {"chunk_id": [-1], "pid": [os.getpid()], "n_zip": [_n_zip_finders()]},
+        schema=to_arrow_schema(ZIP_PROBE),
+    )
+
+
+def test_layout_build_drops_zip_finders(spark, setup):
+    """The layout build is an Arrow map as the scan is: it leaves no zip
+    finder in the worker that ran it, even when its input imported from the
+    archive after its first drop, and a layout built by a partitioner then
+    scans in workers that hold none."""
+    data, queries, df, *_ = setup
+    rows = df.select(F.lit(0).alias("chunk_id"), "id", "series").repartition(4)
+    built = rows.mapInArrow(_build_layout_then_count, ZIP_PROBE).toPandas()
+    assert len(built) == 4 and (built["n_zip"] == 0).all(), built
+    chunked = equally_split(series_df(spark, data[4:]), 3)  # a layout no other test built
+    try:
+        counts = engine._chunk_scan(chunked, _zip_finders, ZIP_PROBE).toPandas()
+    finally:
+        chunked.unpersist()
+    assert sorted(counts["chunk_id"]) == [0, 1, 2]
+    assert (counts["n_zip"] == 0).all(), counts
+
+
 #: a pyspark module no worker imports, in a subpackage of a package every
 #: worker has imported from the archive
 UNIMPORTED, PACKAGE = "pyspark.sql.avro.functions", "pyspark.sql"
 
 
 def _import_unimported(chunks):
-    for chunk_id, ids, data in chunks:
+    for chunk_id, *_ in chunks:
         imported_before = UNIMPORTED in sys.modules
         package_dir = sys.modules[PACKAGE].__path__[0]
         finder_before = package_dir in sys.path_importer_cache
@@ -662,17 +725,16 @@ NOT_FINITE = "series must be finite"
 )
 def test_bad_series_rejected(spark, setup, series, message):
     """Ragged or non-finite series are reported as a ValueError naming the
-    chunk, not answered as if they were data (a NaN row is never returned)
-    or misaligned by the reshape."""
-    data, queries, *_ = setup
-    chunked = equally_split(_bad_series_df(spark, data, series), 2)
-    try:
-        with pytest.raises(ValueError, match=message):
-            distributed_search(chunked, queries[:1])
-        with pytest.raises(ValueError, match=message):
-            build_only(chunked)
-    finally:
-        chunked.unpersist()
+    chunk when the partitioner builds the layout, not answered as if they
+    were data (a NaN row is never returned) or misaligned by the reshape;
+    the failed build leaves nothing cached."""
+    data, *_ = setup
+    frame = _bad_series_df(spark, data, series)
+    persistent = spark.sparkContext._jsc.getPersistentRDDs
+    before = set(persistent().keys())
+    with pytest.raises(ValueError, match=message):
+        equally_split(frame, 2)
+    assert set(persistent().keys()) == before
 
 
 @pytest.mark.parametrize("scheme", sorted(PARTITIONERS))
@@ -756,6 +818,24 @@ def test_chunks_from_record_batches():
         assert got.dtype == np.float64 and got.flags["C_CONTIGUOUS"]
         np.testing.assert_array_equal(got, data[rows])
     assert list(engine._chunks(iter([]))) == []
+
+
+def test_reordered_layout_rejected(setup):
+    """A scan loads each chunk's index from its rows in leaf order, so a
+    layout sorted after the partitioner built it is rejected, naming the
+    chunk, not answered with a different index."""
+    data, queries, df, *_ = setup
+    chunked = equally_split(df, 2)
+    reordered = chunked.sortWithinPartitions("id")
+    message = (
+        r"^chunk [01]: rows are not in the leaf order of the chunk's index; "
+        "lay the dataset out with a partitioner"
+    )
+    with pytest.raises(ValueError, match=message):
+        distributed_search(reordered, queries[:1])
+    with pytest.raises(ValueError, match=message):
+        build_only(reordered)
+
 
 def _merge_reference(stats, k):
     """The coordinator's k-NN merge as a plain loop over every entry."""
