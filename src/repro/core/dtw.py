@@ -158,8 +158,8 @@ class _DtwMetric:
         members = index.members(int(np.argmin(self.leaf_lbs)))
         dists = dtw_batch(self.q, index.data[members], self.r)
         kbsf.offer_many(dists, index.ids[members])
-        cost = index.n_leaves * index.w + len(members) * self.dtw_unit
-        return float(dists.min()), len(members), cost
+        cost = index.n_leaves * index.w + len(dists) * self.dtw_unit
+        return float(dists.min()), len(dists), cost
 
     def cascade(self, rows: np.ndarray, bound: float) -> list:
         index = self.index
@@ -185,12 +185,3 @@ def exact_search_dtw(
         pq_threshold=pq_threshold, sorted_pqs=sorted_pqs,
     )
 
-
-def brute_force_dtw_nn(
-    data: np.ndarray, ids: np.ndarray, q: np.ndarray, *, warp: float = 0.05, k: int = 1
-) -> list[tuple[float, int]]:
-    """Reference exact DTW k-NN by full scan (test oracle)."""
-    r = warping_window(np.asarray(q).shape[-1], warp)
-    dists = dtw_batch(q, data, r)
-    order = np.lexsort((np.asarray(ids), dists))[:k]
-    return [(float(dists[i]), int(ids[i])) for i in order]

@@ -5,17 +5,17 @@ word define ``2^w`` *root subtrees* (= summarization buffers); a node whose
 member count exceeds the leaf capacity splits by raising the cardinality of
 its lowest-cardinality segment and routing members by the next symbol bit.
 
-The index is its arrays. The build appends the leaves root subtree by root
-subtree, in ascending root id, so one leaf is one row of ``leaf_root`` (its
+The index is its arrays, and its rows are stored leaf after leaf. The tree
+(``split_leaves``) appends the leaves root subtree by root subtree, in
+ascending root id, and gives the row order that puts them so; one
+assembler (``load_index``) turns rows in that order, the leaves' offsets
+and cardinalities into the index. One leaf is one row of ``leaf_root`` (its
 root subtree), ``leaf_lo``/``leaf_hi`` (its region bounds, so leaf lower
-bounds are one vectorised MINDIST over a matrix) and one slice of
-``leaf_order`` (its members: chunk rows, leaf after leaf, cut by
-``leaf_offsets``), so the members of any set of leaves are one gather.
-
-A built index is also its rows written in leaf order, each with its leaf
-number and the leaf's cardinalities (the layout the distributed engine
-caches): ``load_index`` reads those rows back into the same index, with
-``leaf_order`` the identity, and runs no tree build.
+bounds are one vectorised MINDIST over a matrix) and the rows
+``leaf_offsets[j]:leaf_offsets[j + 1]`` (its members), so the members of
+any run of leaves are one slice. ``build_index`` is the two in sequence;
+the distributed engine's cached layout is the same rows, written with their
+leaf numbers and cardinalities, and loads with ``load_index`` alone.
 
 Build-cost accounting mirrors the paper's evaluation measures: *buffer cost*
 (summarisation flops ∝ n·L) and *tree cost* (∝ node visits), which together
@@ -38,15 +38,14 @@ def root_ids(words: np.ndarray) -> np.ndarray:
 class ISaxIndex:
     """Per-node index over one data chunk: an immutable record of arrays."""
 
-    ids: np.ndarray  # (n,) series ids
-    data: np.ndarray  # (n, L) raw (z-normalised) series
+    ids: np.ndarray  # (n,) series ids, leaf after leaf
+    data: np.ndarray  # (n, L) raw (z-normalised) series, in the rows of ids
     paa: np.ndarray  # (n, w)
     leaf_root: np.ndarray  # (n_leaves,) root subtree of each leaf, ascending
     leaf_card: np.ndarray  # (n_leaves, w) cardinality bits of each leaf's region
     leaf_lo: np.ndarray  # (n_leaves, w) region bounds
     leaf_hi: np.ndarray
-    leaf_order: np.ndarray  # (n,) chunk rows, leaf after leaf
-    leaf_offsets: np.ndarray  # (n_leaves + 1,) into leaf_order
+    leaf_offsets: np.ndarray  # (n_leaves + 1,) each leaf's first row, then n
     w: int
     length: int
     buffer_cost: float
@@ -60,9 +59,10 @@ class ISaxIndex:
     def n_leaves(self) -> int:
         return len(self.leaf_root)
 
-    def members(self, leaf: int) -> np.ndarray:
-        """The chunk rows of one leaf (a view into ``leaf_order``)."""
-        return self.leaf_order[self.leaf_offsets[leaf] : self.leaf_offsets[leaf + 1]]
+    def members(self, leaf: int) -> slice:
+        """The rows of one leaf: indexing ``ids``/``data``/``paa`` with it
+        is a view."""
+        return slice(self.leaf_offsets[leaf], self.leaf_offsets[leaf + 1])
 
     def index_bytes(self) -> int:
         """Approximate in-memory size of the index *structure* (not raw data).
@@ -81,32 +81,26 @@ class ISaxIndex:
         return mindist_paa_regions(q_paa, self.leaf_lo, self.leaf_hi, self.length)
 
 
-def build_index(
-    ids: np.ndarray, data: np.ndarray, *, w: int = W, leaf_capacity: int = 64
-) -> ISaxIndex:
-    """Build the iSAX index tree over one chunk of series."""
-    data = np.asarray(data, dtype=np.float64)
-    ids = np.asarray(ids, dtype=np.int64)
-    if data.ndim != 2 or len(ids) != len(data):
-        raise ValueError("data must be (n, L) with one id per series")
-    if len(ids) == 0:
-        raise ValueError("cannot index a chunk of zero series")
-    p = paa(data, w)
-    s = symbols(p, MAX_BITS)
+def split_leaves(data: np.ndarray, *, w: int = W, leaf_capacity: int = 64):
+    """The iSAX tree over the rows of ``data``, on symbol bits alone.
+
+    Returns ``(order, leaf_offsets, leaf_card, tree_cost)``: ``data[order]``
+    holds the rows leaf after leaf, leaf ``j`` at rows
+    ``leaf_offsets[j]:leaf_offsets[j + 1]`` with cardinality bits
+    ``leaf_card[j]``; ``tree_cost`` counts the node visits."""
+    s = symbols(paa(data, w), MAX_BITS)
     roots = root_ids(s)
     order = np.argsort(roots, kind="stable")
     boundaries = np.flatnonzero(np.diff(roots[order])) + 1
-    leaf_root, cards, prefixes, members = [], [], [], []
+    cards, members = [], []
     node_visits = 0
     for root in np.split(order, boundaries):  # ascending root id
-        stack = [(np.ones(w, dtype=np.int64), s[root[0]] >> (MAX_BITS - 1), root)]
+        stack = [(np.ones(w, dtype=np.int64), root)]
         while stack:
-            c, pre, mem = stack.pop()
+            c, mem = stack.pop()
             node_visits += 1
             if len(mem) <= leaf_capacity or c.min() == MAX_BITS:
-                leaf_root.append(roots[root[0]])
                 cards.append(c)
-                prefixes.append(pre)
                 members.append(mem)
                 continue
             seg = int(np.argmin(c))
@@ -117,26 +111,30 @@ def build_index(
                     continue
                 c2 = c.copy()
                 c2[seg] += 1
-                p2 = pre.copy()
-                p2[seg] = pre[seg] * 2 + v
-                stack.append((c2, p2, child))
-    leaf_card = np.stack(cards)
-    leaf_lo, leaf_hi = region_bounds(np.stack(prefixes), leaf_card)
-    return ISaxIndex(
-        ids=ids,
-        data=data,
-        paa=p,
-        leaf_root=np.array(leaf_root, dtype=np.int64),
-        leaf_card=leaf_card,
-        leaf_lo=leaf_lo,
-        leaf_hi=leaf_hi,
-        leaf_order=np.concatenate(members),
-        leaf_offsets=np.cumsum([0] + [len(m) for m in members]),
-        w=w,
-        length=data.shape[1],
-        buffer_cost=float(data.size),  # one pass over every point
-        tree_cost=float(node_visits * w + len(ids)),
+                stack.append((c2, child))
+    return (
+        np.concatenate(members),
+        np.cumsum([0] + [len(m) for m in members]),
+        np.stack(cards),
+        float(node_visits * w + len(data)),
     )
+
+
+def build_index(
+    ids: np.ndarray, data: np.ndarray, *, w: int = W, leaf_capacity: int = 64
+) -> ISaxIndex:
+    """Build the iSAX index tree over one chunk of series: its rows are
+    ``ids``/``data`` reordered leaf after leaf."""
+    data = np.asarray(data, dtype=np.float64)
+    ids = np.asarray(ids, dtype=np.int64)
+    if data.ndim != 2 or len(ids) != len(data):
+        raise ValueError("data must be (n, L) with one id per series")
+    if len(ids) == 0:
+        raise ValueError("cannot index a chunk of zero series")
+    order, leaf_offsets, leaf_card, tree_cost = split_leaves(
+        data, w=w, leaf_capacity=leaf_capacity
+    )
+    return load_index(ids[order], data[order], leaf_offsets, leaf_card, tree_cost)
 
 
 def load_index(
@@ -148,7 +146,7 @@ def load_index(
 ) -> ISaxIndex:
     """The index whose rows are ``ids``/``data`` in leaf order: leaf ``j`` is
     rows ``leaf_offsets[j]:leaf_offsets[j + 1]``, with cardinalities
-    ``leaf_card[j]``; ``tree_cost`` is the build's. Every member of a leaf
+    ``leaf_card[j]``; ``tree_cost`` is the tree's. Every member of a leaf
     lies in its region, so the leaf's root and its symbol prefixes are those
     of its first member's symbols, cut to the leaf's cardinalities."""
     w = leaf_card.shape[1]
@@ -164,11 +162,10 @@ def load_index(
         leaf_card=leaf_card,
         leaf_lo=leaf_lo,
         leaf_hi=leaf_hi,
-        leaf_order=np.arange(len(ids)),
         leaf_offsets=leaf_offsets,
         w=w,
         length=data.shape[1],
-        buffer_cost=float(data.size),
+        buffer_cost=float(data.size),  # one pass over every point
         tree_cost=float(tree_cost),
     )
 
@@ -187,8 +184,7 @@ def approx_search(index: ISaxIndex, q: np.ndarray, q_paa: np.ndarray, lbs: np.nd
     members = index.members(leaf_idx)
     diffs = index.data[members] - q
     dists = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
+    member_ids = index.ids[members]
     best = int(np.argmin(dists))
-    cost = float(index.n_leaves * index.w + len(members) * index.length)
-    return float(dists[best]), int(index.ids[members[best]]), dists, index.ids[
-        members
-    ], cost
+    cost = float(index.n_leaves * index.w + len(dists) * index.length)
+    return float(dists[best]), int(member_ids[best]), dists, member_ids, cost

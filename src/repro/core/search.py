@@ -233,7 +233,7 @@ def _process_queue(index: ISaxIndex, metric, kbsf: _KBsf, stats: SearchStats,
     lo = index.leaf_offsets[leaves]
     sizes = index.leaf_offsets[leaves + 1] - lo
     starts = np.concatenate(([0], np.cumsum(sizes)))  # each leaf's rows in the block
-    rows = index.leaf_order[np.repeat(lo - starts[:-1], sizes) + np.arange(starts[-1])]
+    rows = np.repeat(lo - starts[:-1], sizes) + np.arange(starts[-1])
     stages = metric.cascade(rows, bound)
     dist = stages[-1][0]
     cost = 0.0

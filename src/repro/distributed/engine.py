@@ -11,10 +11,11 @@ shuffle nor a partitioner's UDFs nor the index build. The layout build
 (``build_layout``, one ``mapInArrow``) turns each chunk's ``series`` list
 column into one C-contiguous ``(n, L)`` float64 matrix (from the flat list
 values, no per-series objects), rejects empty, ragged or non-finite series
-naming the chunk, builds the chunk's iSAX index once and writes the chunk
-back in the index's leaf order: one row per series, its series as L
-float64s of bytes, its leaf and the leaf's cardinalities, and the build's
-tree cost and seconds (``LAYOUT_SCHEMA``). Query answering is a
+and a length not divisible by ``w`` naming the chunk, splits the chunk into
+its iSAX index's leaves once (``split_leaves``) and writes the chunk back
+leaf after leaf: one row per series, its series as L float64s of bytes,
+its leaf and the leaf's cardinalities, and the build's tree cost and
+seconds (``LAYOUT_SCHEMA``). Query answering is a
 per-partition scan, ``mapInArrow`` over the cached layout: the Python
 worker loads the chunk's index from its rows (``_indexes``: the series
 bytes are the data matrix, the runs of ``leaf`` the leaves; only the PAA
@@ -78,7 +79,8 @@ from pyspark.sql import types as T
 from pyspark.sql.pandas.types import to_arrow_schema
 
 from ..core.dtw import exact_search_dtw
-from ..core.index import ISaxIndex, build_index, load_index
+from ..core.index import ISaxIndex, load_index, split_leaves
+from ..core.isax import W
 from ..core.search import SearchStats, approximate_search, exact_search
 
 RESULT_SCHEMA = T.StructType(
@@ -313,6 +315,8 @@ LAYOUT_SCHEMA = T.StructType(
         T.StructField("leaf", T.IntegerType()),  # the row's leaf in its chunk's index
         T.StructField("card", T.BinaryType()),  # the leaf's cardinality bits, w bytes
         T.StructField("tree_cost", T.DoubleType()),  # the chunk's build, on every row
+        # the seconds of the chunk's tree split (``split_leaves``); the leaf
+        # bounds are computed at each load
         T.StructField("build_elapsed", T.DoubleType()),
     ]
 )
@@ -324,10 +328,11 @@ LAYOUT_BATCH_ROWS = 10_000
 
 def build_layout(df: DataFrame) -> DataFrame:
     """The layout of a DataFrame ``(chunk_id, id, series)`` whose chunks
-    each lie in one Spark partition: one Arrow map that builds each
-    chunk's index once and writes the chunk's rows in its leaf order
-    (``LAYOUT_SCHEMA``). Series that are empty, differ in length within a
-    chunk or are not finite raise ``ValueError`` naming the chunk."""
+    each lie in one Spark partition: one Arrow map that splits each chunk
+    into its index's leaves once and writes the chunk's rows leaf after
+    leaf (``LAYOUT_SCHEMA``). Series that are empty, differ in length
+    within a chunk, are not finite or have a length not divisible by ``w``
+    raise ``ValueError`` naming the chunk."""
     return df.select("chunk_id", "id", "series").mapInArrow(_write_layout, LAYOUT_SCHEMA)
 
 
@@ -335,29 +340,35 @@ def _write_layout(batches):
     """``build_layout``'s function over one partition's record batches."""
     drop_zip_finders()
     for chunk_id, ids, data in _chunks(batches):
+        if data.shape[1] % W:
+            raise ValueError(
+                f"chunk {chunk_id}: series length {data.shape[1]} not divisible by w={W}"
+            )
         t0 = time.perf_counter()
-        index = build_index(ids, data)
-        yield from _layout_batches(chunk_id, index, time.perf_counter() - t0)
+        tree = split_leaves(data)
+        yield from _layout_batches(chunk_id, ids, data, tree, time.perf_counter() - t0)
     drop_zip_finders()
 
 
-def _layout_batches(chunk_id: int, index: ISaxIndex, build_elapsed: float):
-    """One chunk's layout rows, leaf after leaf in ``leaf_order``, as record
-    batches of at most ``LAYOUT_BATCH_ROWS`` rows."""
-    leaf = np.repeat(np.arange(index.n_leaves, dtype=np.int32), np.diff(index.leaf_offsets))
-    card = index.leaf_card.astype(np.uint8)
-    for start in range(0, index.n_series, LAYOUT_BATCH_ROWS):
-        rows = index.leaf_order[start : start + LAYOUT_BATCH_ROWS]
+def _layout_batches(chunk_id: int, ids, data, tree, build_elapsed: float):
+    """One chunk's layout rows, leaf after leaf (``tree`` is
+    ``split_leaves(data)``), as record batches of at most
+    ``LAYOUT_BATCH_ROWS`` rows, each gathered through the tree's order."""
+    order, leaf_offsets, leaf_card, tree_cost = tree
+    leaf = np.repeat(np.arange(len(leaf_card), dtype=np.int32), np.diff(leaf_offsets))
+    card = leaf_card.astype(np.uint8)
+    for start in range(0, len(order), LAYOUT_BATCH_ROWS):
+        rows = order[start : start + LAYOUT_BATCH_ROWS]
         leaves = leaf[start : start + LAYOUT_BATCH_ROWS]
         n = len(rows)
         yield pa.RecordBatch.from_arrays(
             [
                 pa.array(np.full(n, chunk_id, dtype=np.int32)),
-                pa.array(index.ids[rows]),
-                _binary_rows(index.data[rows]),
+                pa.array(ids[rows]),
+                _binary_rows(data[rows]),
                 pa.array(leaves),
                 _binary_rows(card[leaves]),
-                pa.array(np.full(n, index.tree_cost)),
+                pa.array(np.full(n, tree_cost)),
                 pa.array(np.full(n, build_elapsed)),
             ],
             schema=_LAYOUT_ARROW,
@@ -387,17 +398,31 @@ def _binary_values(arrays: list) -> tuple[np.ndarray, np.ndarray]:
     return (views[0] if len(views) == 1 else np.concatenate(views)), np.concatenate(lengths)
 
 
-def _rows_matrix(values, lengths, starts, rows, dtype, what: str, chunk_id: int):
-    """The binary values of ``rows`` as one ``(len(rows), width)`` matrix
-    of ``dtype``: a view of ``values`` when the rows are one run."""
+def _split_chunks(chunk_ids: np.ndarray):
+    """A partition's rows split by chunk: ``(chunk_id, rows)`` per chunk
+    id, ascending, each chunk's rows in arrival order."""
+    order = np.argsort(chunk_ids, kind="stable")
+    for rows in np.split(order, np.flatnonzero(np.diff(chunk_ids[order])) + 1):
+        yield int(chunk_ids[rows[0]]), rows
+
+
+def _rows_matrix(values, starts, rows, width: int) -> np.ndarray:
+    """The ``width`` values from each of ``rows``' ``starts`` in ``values``
+    as one ``(len(rows), width)`` matrix: a view of ``values`` when the rows
+    are one run, else a gather."""
+    if rows[-1] - rows[0] == len(rows) - 1:
+        start = starts[rows[0]]
+        return values[start : start + len(rows) * width].reshape(len(rows), width)
+    return values[starts[rows, None] + np.arange(width)]
+
+
+def _binary_matrix(values, lengths, starts, rows, dtype, what: str, chunk_id: int):
+    """The binary values of ``rows`` as one matrix of ``dtype``
+    (``_rows_matrix``)."""
     size = int(lengths[rows[0]])
     if size == 0 or size % dtype.itemsize or (lengths[rows] != size).any():
         raise ValueError(f"chunk {chunk_id}: the layout's {what} must be of one length")
-    if rows[-1] - rows[0] == len(rows) - 1:
-        block = values[starts[rows[0]] : starts[rows[0]] + len(rows) * size]
-    else:
-        block = values[starts[rows, None] + np.arange(size)]
-    return block.view(dtype).reshape(len(rows), size // dtype.itemsize)
+    return _rows_matrix(values, starts, rows, size).view(dtype)
 
 
 def _indexes(batches):
@@ -420,9 +445,7 @@ def _indexes(batches):
     cards = _binary_values([b.column("card") for b in batches])
     del batches  # the series bytes are a view of the one batch, or a copy
     starts = [np.cumsum(lengths) - lengths for _, lengths in (series, cards)]
-    order = np.argsort(chunk_ids, kind="stable")
-    for rows in np.split(order, np.flatnonzero(np.diff(chunk_ids[order])) + 1):
-        chunk_id = int(chunk_ids[rows[0]])
+    for chunk_id, rows in _split_chunks(chunk_ids):
         step = np.diff(leaf[rows])
         if (step < 0).any():
             raise ValueError(
@@ -431,8 +454,8 @@ def _indexes(batches):
                 "chunk in leaf order in a partition of its own"
             )
         offsets = np.concatenate(([0], np.flatnonzero(step) + 1, [len(rows)]))
-        data = _rows_matrix(*series, starts[0], rows, np.dtype(np.float64), "series", chunk_id)
-        card = _rows_matrix(
+        data = _binary_matrix(*series, starts[0], rows, np.dtype(np.float64), "series", chunk_id)
+        card = _binary_matrix(
             *cards, starts[1], rows[offsets[:-1]], np.dtype(np.uint8), "cards", chunk_id
         )
         index = load_index(ids[rows], data, offsets, card, tree_cost[rows[0]])
@@ -462,12 +485,12 @@ def drop_zip_finders() -> None:
 
 def _chunks(batches):
     """The chunks in one partition's ``(chunk_id, id, series)`` record
-    batches, as the layout build reads them: ``(chunk_id, ids, data)`` per chunk id, rows in arrival order,
-    ``data`` one C-contiguous ``(n, L)`` float64 matrix made from the flat
-    list values (``ListArray.flatten`` respects a slice's offsets), a view
-    when the chunk's rows arrive as one run. Raises ``ValueError`` naming
-    the chunk when its series are empty, differ in length or are not
-    finite."""
+    batches, as the layout build reads them: ``(chunk_id, ids, data)`` per
+    chunk id, rows in arrival order, ``data`` one C-contiguous ``(n, L)``
+    float64 matrix made from the flat list values (``ListArray.flatten``
+    respects a slice's offsets), a view when the chunk's rows arrive as one
+    run. Raises ``ValueError`` naming the chunk when its series are empty,
+    differ in length or are not finite."""
     batches = [b for b in batches if b.num_rows]
     if not batches:
         return
@@ -481,20 +504,14 @@ def _chunks(batches):
     ).astype(np.float64, copy=False)
     del batches, series  # values is a copy: free the Arrow buffers before any index build
     starts = np.cumsum(lengths) - lengths
-    order = np.argsort(chunk_ids, kind="stable")
-    for rows in np.split(order, np.flatnonzero(np.diff(chunk_ids[order])) + 1):
-        chunk_id = int(chunk_ids[rows[0]])
+    for chunk_id, rows in _split_chunks(chunk_ids):
         length = int(lengths[rows[0]])
         if length == 0 or (lengths[rows] != length).any():
             raise ValueError(
                 f"chunk {chunk_id}: series must be non-empty and of one length, "
                 f"got lengths {lengths[rows].min()} to {lengths[rows].max()}"
             )
-        if rows[-1] - rows[0] == len(rows) - 1:
-            start = starts[rows[0]]
-            data = values[start : start + len(rows) * length].reshape(len(rows), length)
-        else:
-            data = values[starts[rows, None] + np.arange(length)]
+        data = _rows_matrix(values, starts, rows, length)
         if not np.isfinite(data).all():
             bad = ids[rows][~np.isfinite(data).all(axis=1)]
             raise ValueError(
@@ -654,8 +671,10 @@ def distributed_search(
 
 def build_only(chunked_df: DataFrame) -> pd.DataFrame:
     """Per-chunk build records stored in the layout, without answering any
-    query or building any index: ``build_elapsed`` is the layout build's
-    seconds, ``partition_id``/``worker_pid`` the task that read it."""
+    query or building any index: ``build_elapsed`` is the seconds of the
+    layout build's tree split (``split_leaves``; the leaf bounds are
+    computed at load), ``partition_id``/``worker_pid`` the task that read
+    it."""
     schema = T.StructType([RESULT_SCHEMA[name] for name in _BUILD_FIELDS])
 
     def fn(chunks):

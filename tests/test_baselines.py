@@ -7,7 +7,6 @@ from repro.baselines.dmessi import dmessi_search, dmessi_swbsf_search
 from repro.baselines.dpisax import WORD_BITS, dpisax_partition
 from repro.distributed.engine import distributed_search
 from repro.distributed.partitioning import equally_split, isax_words_np
-from repro.oracle import assert_equivalent
 from repro.synth_data import (
     clustered_walks_np,
     make_queries_np,
@@ -15,7 +14,7 @@ from repro.synth_data import (
     series_long_pdf,
 )
 
-from .oracle_sql import NN_SQL
+from .oracle_sql import NN_SQL, assert_equivalent
 
 
 @pytest.fixture(scope="module")

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from repro.core.dtw import (
-    brute_force_dtw_nn,
     dtw_batch,
     dtw_distance,
     envelope,
@@ -19,6 +18,8 @@ from repro.core.dtw import (
 from repro.core.index import build_index
 from repro.core.paa import paa
 from repro.synth_data import clustered_walks_np, make_queries_np
+
+from .brute_force import brute_force_dtw_nn
 
 
 def _dtw_reference(a, b):

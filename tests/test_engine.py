@@ -21,7 +21,6 @@ from repro.distributed.engine import build_only, chunk_search, distributed_searc
 from repro.distributed.partitioning import density_aware, equally_split
 from repro.distributed.replication import ReplicationConfig
 from repro.experiments.harness import chunk_predictions, fit_chunk_predictors
-from repro.oracle import assert_equivalent
 from repro.scheduling.schedulers import ALL_POLICIES
 from repro.scheduling.simulator import simulate_cluster, works_from_stats
 from repro.synth_data import (
@@ -32,7 +31,8 @@ from repro.synth_data import (
     series_long_pdf,
 )
 
-from .oracle_sql import NN_SQL, knn_sql
+from .brute_force import brute_force_dtw_nn
+from .oracle_sql import NN_SQL, assert_equivalent, knn_sql
 
 N, L, NQ = 320, 32, 6
 
@@ -108,8 +108,6 @@ def test_distributed_knn_matches_oracle(spark, setup, k):
 def test_distributed_dtw_matches_reference(setup):
     """DTW is not expressible in portable SQL — check against the
     independent brute-force DP reference instead."""
-    from repro.core.dtw import brute_force_dtw_nn
-
     data, queries, df, *_ = setup
     res = distributed_search(equally_split(df, 3), queries[:3], distance="dtw", warp=0.1)
     ids = np.arange(len(data))
@@ -453,8 +451,6 @@ def test_lower_bound_equal_to_the_bound_keeps_id_order(spark, steps, k, share_bs
 def test_dtw_lower_bound_equal_to_the_bound_keeps_id_order(steps, k, share_bsf):
     """Against a constant query, LB_Keogh, the envelope-PAA bound of a step
     series and banded DTW all equal ED, so DTW's filters meet the bound."""
-    from repro.core.dtw import brute_force_dtw_nn
-
     data, chunked = steps
     queries = np.repeat(np.arange(-2, 2.5, 0.5)[:, None], L, axis=1)
     res = distributed_search(
@@ -733,6 +729,18 @@ def test_bad_series_rejected(spark, setup, series, message):
     persistent = spark.sparkContext._jsc.getPersistentRDDs
     before = set(persistent().keys())
     with pytest.raises(ValueError, match=message):
+        equally_split(frame, 2)
+    assert set(persistent().keys()) == before
+
+
+def test_length_not_divisible_by_w_rejected(spark):
+    """Series whose length the index's ``w`` segments do not divide are a
+    ValueError naming the chunk when the partitioner builds the layout; the
+    failed build leaves nothing cached."""
+    frame = series_df(spark, random_walk_np(40, 30, seed=1))
+    persistent = spark.sparkContext._jsc.getPersistentRDDs
+    before = set(persistent().keys())
+    with pytest.raises(ValueError, match=rf"^chunk [01]: series length 30 not divisible by w={W}$"):
         equally_split(frame, 2)
     assert set(persistent().keys()) == before
 

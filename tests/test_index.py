@@ -24,25 +24,25 @@ def index(dataset):
 
 
 def _leaf_of_rows(index):
-    """The leaf of each chunk row."""
-    leaf_of = np.empty(index.n_series, dtype=np.int64)
-    leaf_of[index.leaf_order] = np.repeat(np.arange(index.n_leaves), np.diff(index.leaf_offsets))
-    return leaf_of
+    """The leaf of each index row: the rows are stored leaf after leaf."""
+    return np.repeat(np.arange(index.n_leaves), np.diff(index.leaf_offsets))
 
 
-def test_every_series_in_exactly_one_leaf(index):
-    seen = np.concatenate([index.members(i) for i in range(index.n_leaves)])
-    assert len(seen) == index.n_series
-    assert set(seen.tolist()) == set(range(index.n_series))
+def test_every_series_in_exactly_one_leaf(dataset, index):
+    ids, data = dataset
+    seen = np.concatenate([index.ids[index.members(i)] for i in range(index.n_leaves)])
+    assert len(seen) == len(ids)
+    assert sorted(seen.tolist()) == ids.tolist()
+    assert np.array_equal(index.data, data[index.ids])  # ids[j] == j
     assert index.leaf_offsets[0] == 0 and np.all(np.diff(index.leaf_offsets) > 0)
 
 
 def test_leaf_capacity_respected(index):
     words = symbols(index.paa, MAX_BITS)
     for i in range(index.n_leaves):
-        members = index.members(i)
+        members = words[index.members(i)]
         if len(members) > CAPACITY:  # a forced leaf: its words cannot be split
-            assert np.all(words[members] == words[members[0]])
+            assert np.all(members == members[0])
 
 
 def test_leaf_regions_contain_member_paa(index):
@@ -86,14 +86,14 @@ def test_build_with_different_segment_counts(w):
     assert idx.w == w
     assert idx.paa.shape == (100, w)
     assert idx.leaf_lo.shape == (idx.n_leaves, w)
-    assert sorted(idx.leaf_order.tolist()) == list(range(100))
+    assert sorted(idx.ids.tolist()) == list(range(100))
 
 
 def test_build_single_series():
     data = random_walk_np(1, 32, seed=2)
     idx = build_index(np.array([42]), data, leaf_capacity=4)
     assert idx.n_leaves == 1
-    assert idx.ids[idx.members(0)[0]] == 42
+    assert idx.ids[idx.members(0)][0] == 42
 
 
 def test_build_rejects_mismatched_ids():
@@ -106,7 +106,7 @@ def test_forced_leaf_on_duplicate_series():
     data = np.tile(random_walk_np(1, 32, seed=3), (50, 1))
     idx = build_index(np.arange(50), data, leaf_capacity=4)
     assert idx.n_leaves == 1
-    assert len(idx.members(0)) == 50
+    assert len(idx.ids[idx.members(0)]) == 50
 
 
 def test_index_bytes_positive_and_small(index):

@@ -3,9 +3,10 @@ import numpy as np
 import pytest
 
 from repro.core.index import build_index
-from repro.core.knn import brute_force_knn
 from repro.core.search import exact_search
 from repro.synth_data import random_walk_np
+
+from .brute_force import brute_force_knn
 
 
 @pytest.fixture(scope="module")

@@ -1,18 +1,20 @@
 """The cached layout's index round trip, without Spark.
 
-A partitioner's layout build writes each chunk's rows in the leaf order of
-its index (``engine._layout_batches``), and every scan loads the index from
-those rows (``engine._indexes``) instead of building it. The loaded index
-must be the built one with its rows permuted by ``leaf_order``: the same
-leaves, bounds and searches, to the last counter.
+A partitioner's layout build splits each chunk into its index's leaves
+(``split_leaves``) and writes the chunk's rows leaf after leaf
+(``engine._layout_batches``), and every scan loads the index from those
+rows (``engine._indexes``) instead of building it. The loaded index must be
+the one ``build_index`` gives: every array and scalar equal, and the same
+searches, to the last counter.
 """
 import dataclasses
 
 import numpy as np
+import pyarrow as pa
 import pytest
 
 from repro.core.dtw import exact_search_dtw
-from repro.core.index import build_index
+from repro.core.index import ISaxIndex, build_index, split_leaves
 from repro.core.isax import MAX_BITS, W
 from repro.core.search import exact_search
 from repro.distributed import engine
@@ -42,12 +44,28 @@ _CHUNKS = {
 }
 
 
+def _layout(chunk_id, ids, data, capacity, build_elapsed=0.0):
+    """A chunk's layout record batches, as the layout build writes them."""
+    tree = split_leaves(data, leaf_capacity=capacity)
+    return list(engine._layout_batches(chunk_id, ids, data, tree, build_elapsed))
+
+
+def _assert_same_index(loaded, built):
+    """Every array and scalar of the two indexes is equal."""
+    for field in dataclasses.fields(ISaxIndex):
+        np.testing.assert_array_equal(
+            getattr(loaded, field.name), getattr(built, field.name), field.name
+        )
+    assert loaded.data.dtype == np.float64 and loaded.data.flags["C_CONTIGUOUS"]
+    assert loaded.index_bytes() == built.index_bytes()
+
+
 def _round_trip(ids, data, capacity, batch_rows, monkeypatch):
     """Build a chunk's index, write its layout rows in record batches of
     ``batch_rows`` and load them back."""
     built = build_index(ids, data, leaf_capacity=capacity)
     monkeypatch.setattr(engine, "LAYOUT_BATCH_ROWS", batch_rows)
-    batches = list(engine._layout_batches(7, built, 0.25))
+    batches = _layout(7, ids, data, capacity, 0.25)
     assert all(b.num_rows <= batch_rows for b in batches)
     assert len(batches) == -(-len(ids) // batch_rows)
     ((chunk_id, loaded, build_elapsed, load_elapsed),) = engine._indexes(iter(batches))
@@ -65,16 +83,35 @@ def test_loaded_index_is_the_built_one(name, batch_rows, monkeypatch):
         assert built.n_leaves == 1
     if name == "steps":
         assert (built.leaf_card == MAX_BITS).all(axis=1).any()
-    for field in ("leaf_root", "leaf_card", "leaf_lo", "leaf_hi", "leaf_offsets"):
-        np.testing.assert_array_equal(getattr(loaded, field), getattr(built, field), field)
-    order = built.leaf_order
-    for field in ("ids", "data", "paa"):
-        np.testing.assert_array_equal(getattr(loaded, field), getattr(built, field)[order], field)
-    np.testing.assert_array_equal(loaded.leaf_order, np.arange(len(data)))
-    assert loaded.data.dtype == np.float64 and loaded.data.flags["C_CONTIGUOUS"]
-    for attr in ("n_series", "n_leaves", "w", "length", "buffer_cost", "tree_cost"):
-        assert getattr(loaded, attr) == getattr(built, attr), attr
-    assert loaded.index_bytes() == built.index_bytes()
+    _assert_same_index(loaded, built)
+
+
+def test_chunks_from_layout_record_batches():
+    """The scan's Arrow reader: several chunks whose rows interleave across
+    record batches, each batch's columns a slice of one longer array
+    (non-zero offsets), load each chunk's index as ``build_index`` over the
+    chunk builds it, the chunks in ascending id."""
+    chunks = {9: "walks", 2: "steps", 5: "one-leaf"}
+    parts, built = [], {}
+    for n, (chunk_id, name) in enumerate(chunks.items()):
+        data, capacity = _CHUNKS[name]
+        ids = np.arange(len(data), dtype=np.int64)[::-1] * 3 + n
+        built[chunk_id] = build_index(ids, data, leaf_capacity=capacity)
+        parts += _layout(chunk_id, ids, data, capacity)
+    table = pa.Table.from_batches(parts)
+    # a random interleaving of the chunks that keeps each chunk's row order
+    chunk_of = table.column("chunk_id").to_numpy()
+    shuffled = np.random.default_rng(11).permutation(chunk_of)
+    order = np.empty(len(chunk_of), dtype=np.int64)
+    for chunk_id in chunks:
+        order[shuffled == chunk_id] = np.flatnonzero(chunk_of == chunk_id)
+    batches = table.take(order).combine_chunks().to_batches(max_chunksize=97)
+    assert len(batches) > 1 and batches[1].column("series").offset == 97
+    loaded = list(engine._indexes(iter(batches)))
+    assert [chunk_id for chunk_id, *_ in loaded] == sorted(chunks)
+    for chunk_id, index, build_elapsed, _ in loaded:
+        assert build_elapsed == 0.0
+        _assert_same_index(index, built[chunk_id])
 
 
 SEARCHES = {
@@ -106,8 +143,7 @@ def test_rows_out_of_leaf_order_rejected(monkeypatch):
     """A chunk whose rows no longer follow its leaves is rejected, naming
     the chunk, rather than loaded as a different index."""
     data, capacity = _CHUNKS["walks"]
-    built = build_index(np.arange(len(data)), data, leaf_capacity=capacity)
-    (batch,) = engine._layout_batches(3, built, 0.0)
+    (batch,) = _layout(3, np.arange(len(data)), data, capacity)
     reordered = batch.take(np.argsort(batch.column("id").to_numpy()))
     with pytest.raises(ValueError, match=r"^chunk 3: rows are not in the leaf order"):
         list(engine._indexes(iter([reordered])))

@@ -38,7 +38,7 @@ def make_batches(index) -> list[list[int]]:
 
 
 def _members(index, leaf):
-    return index.leaf_order[index.leaf_offsets[leaf] : index.leaf_offsets[leaf + 1]]
+    return np.arange(index.leaf_offsets[leaf], index.leaf_offsets[leaf + 1])
 
 
 def per_leaf_search(index, metric, *, k, init_bsf, pq_threshold, sorted_pqs):

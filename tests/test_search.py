@@ -3,10 +3,11 @@ import numpy as np
 import pytest
 
 from repro.core.index import approx_search, build_index
-from repro.core.knn import brute_force_knn
 from repro.core.paa import paa
 from repro.core.search import _KBsf, approximate_search, exact_search, leaf_batches
 from repro.synth_data import clustered_walks_np, make_queries_np, random_walk_np
+
+from .brute_force import brute_force_knn
 
 
 @pytest.fixture(scope="module")
