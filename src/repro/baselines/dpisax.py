@@ -33,9 +33,10 @@ def dpisax_partition(df: DataFrame, n_chunks: int) -> DataFrame:
     The sample is drawn on the driver with a numpy RNG seeded by
     ``SAMPLE_SEED``, over the words in id order, so the cut points are the
     same however Spark splits the input (Spark's ``sample`` is seeded per
-    input partition). The layout is built once and cached in the session
-    (memory and disk), so the iSAX-word UDF runs in set-up only (for the
-    sample and for the layout), not per pass; ``unpersist()`` frees it.
+    input partition). The layout is built once and held as a local
+    checkpoint (memory and disk), so the iSAX-word UDF runs in set-up only
+    (for the sample and for the layout), not per pass; ``free_layout``
+    frees it.
     Series that differ in length raise ``ValueError``."""
     with_word = df.withColumn("isax_word", isax_word_col(WORD_BITS))
     words = to_pandas(with_word.select("id", "isax_word")).sort_values("id")["isax_word"].to_numpy()

@@ -14,7 +14,7 @@ root subtree), ``leaf_lo``/``leaf_hi`` (its region bounds, so leaf lower
 bounds are one vectorised MINDIST over a matrix) and the rows
 ``leaf_offsets[j]:leaf_offsets[j + 1]`` (its members), so the members of
 any run of leaves are one slice. ``build_index`` is the two in sequence;
-the distributed engine's cached layout is the same rows, written with their
+the distributed engine's layout is the same rows, written with their
 leaf numbers and cardinalities, and loads with ``load_index`` alone.
 
 Build-cost accounting mirrors the paper's evaluation measures: *buffer cost*

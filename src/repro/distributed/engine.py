@@ -2,12 +2,11 @@
 
 The dataset is a DataFrame ``(id, series, chunk_id)`` (chunk = the data a
 replication group indexes), laid out by the partitioners with chunk ``c``
-alone in Spark partition ``c``. The partitioners build that layout once and
-cache it in the session, eagerly, so the scan is planned against the built
-cache and keeps its partitioning (a lazy cache makes Spark add a hash
-exchange on ``chunk_id``; ``localCheckpoint`` drops the partitioning): every
-pass and every batch reads the resident chunks and reruns neither the
-shuffle nor a partitioner's UDFs nor the index build. The layout build
+alone in Spark partition ``c``. The partitioners build that layout once,
+eagerly, and hold it as a local checkpoint: the scan is planned against one
+``LogicalRDD`` over the checkpointed rows, and every pass and every batch
+reads the resident chunks and reruns neither the shuffle nor a
+partitioner's UDFs nor the index build. The layout build
 (``build_layout``, one ``mapInArrow``) turns each chunk's ``series`` list
 column into one C-contiguous ``(n, L)`` float64 matrix (from the flat list
 values, no per-series objects), rejects empty, ragged or non-finite series
@@ -16,7 +15,7 @@ its iSAX index's leaves once (``split_leaves``) and writes the chunk back
 leaf after leaf: one row per series, its series as L float64s of bytes,
 its leaf and the leaf's cardinalities, and the build's tree cost and
 seconds (``LAYOUT_SCHEMA``). Query answering is a
-per-partition scan, ``mapInArrow`` over the cached layout: the Python
+per-partition scan, ``mapInArrow`` over the layout: the Python
 worker loads the chunk's index from its rows (``_indexes``: the series
 bytes are the data matrix, the runs of ``leaf`` the leaves; only the PAA
 and the leaves' bounds are recomputed) and answers the *whole query batch*
@@ -305,7 +304,7 @@ def _chunk_scan(chunked_df: DataFrame, fn, schema: T.StructType) -> DataFrame:
     return chunked_df.select(*LAYOUT_SCHEMA.names).mapInArrow(scan, schema)
 
 
-#: the cached layout: one row per series, each chunk's rows in the leaf
+#: the layout: one row per series, each chunk's rows in the leaf
 #: order of its index (``build_layout``)
 LAYOUT_SCHEMA = T.StructType(
     [
@@ -647,7 +646,7 @@ def distributed_search(
     # an unknown algorithm or distance fails here, before the layout is read
     _exact_search(algorithm, distance, warp, k)
     search = {"algorithm": algorithm, "distance": distance, "warp": warp, "k": k}
-    # getNumPartitions plans the cached scan and runs no Spark job
+    # getNumPartitions plans the layout's scan and runs no Spark job
     if share_bsf and chunked_df.rdd.getNumPartitions() > 1:
         approx = chunk_search(chunked_df, queries, approx_only=True, **search)
         _check_k(approx, k)

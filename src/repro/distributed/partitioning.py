@@ -8,9 +8,9 @@ layout also holds each chunk's iSAX index: the chunk's rows are written in
 the leaf order of the index built over them, with each row's leaf
 (``engine.LAYOUT_SCHEMA``; ``series`` is then L float64s as bytes). The
 layout and its indexes are built once, when the partitioner returns, and
-cached in the session (memory and disk), so every search pass loads
+held as a local checkpoint (memory and disk), so every search pass loads
 resident indexes and builds none; bad series fail there, as a driver-side
-``ValueError``. ``unpersist()`` on the layout frees the cache.
+``ValueError``. ``free_layout`` frees the layout.
 EQUALLY-SPLIT assigns contiguous ranges in id (storage) order, optionally
 after random shuffling (the paper's "RS"). DENSITY-AWARE orders the
 summarization buffers by Gray code, stripes the λ largest buffers across
@@ -47,7 +47,7 @@ def check_n_chunks(n_chunks: int, n_series: int) -> None:
 def one_chunk_per_partition(df: DataFrame, n_chunks: int) -> DataFrame:
     """Lay out a DataFrame with a ``chunk_id`` column so that chunk ``c``
     is exactly Spark partition ``c``, build each chunk's index once and
-    cache the layout with it.
+    hold the layout with it as a local checkpoint.
 
     ``repartitionById`` places rows by the value of an INT column, so the
     engine's per-partition scan (``mapInArrow``) finds each chunk whole in
@@ -65,27 +65,43 @@ def one_chunk_per_partition(df: DataFrame, n_chunks: int) -> DataFrame:
     building it. Bad series (empty, ragged or not finite) fail here, as a
     driver-side ``ValueError`` naming the chunk.
 
-    The layout is cached in the session (``persist()``: memory and disk,
-    Spark's DataFrame default) and built here by one ``count()``, so every
-    later scan reads the resident chunks and nothing upstream of them (the
-    local scan, the shuffle, a partitioner's UDFs, the index build) runs
-    again. The build is eager so that this one-time work is set-up, and
-    because the output partitioning of an adaptive cached plan is known
-    only once the cache is built. ``localCheckpoint()`` is no substitute:
-    it drops the partitioning altogether. A failed build frees its cache;
-    otherwise the caller frees the layout with ``unpersist()``."""
+    The built rows are a local checkpoint (``localCheckpoint()``: kept in
+    the executors' block managers, memory and disk), written here by one
+    count of its RDD, so every later scan reads the resident chunks and nothing
+    upstream of them (the local scan, the shuffle, a partitioner's UDFs,
+    the index build) runs again. The returned layout's plan is one
+    ``LogicalRDD`` over the checkpointed rows, one partition per chunk: a
+    scan neither re-plans nor ships the input the layout was built from,
+    and decodes no columnar cache. The build is eager so that this
+    one-time work is set-up. A failed build frees what it checkpointed;
+    otherwise the caller frees the layout with ``free_layout``, after
+    which its scans raise instead of rebuilding it."""
     df = df.withColumn("chunk_id", F.col("chunk_id").cast("int"))
     if n_chunks == 1:
         df = df.coalesce(1)
     else:
         df = df.repartitionById(n_chunks, "chunk_id")
-    layout = build_layout(df).persist()
+    # planning the checkpoint runs the shuffle, where bad input can fail too
+    layout = run_job(lambda: build_layout(df).localCheckpoint(eager=False))
     try:
-        run_job(layout.count)
+        # one job over the rows; a DataFrame count adds an aggregate stage
+        run_job(_checkpoint(layout).count)
     except BaseException:
-        layout.unpersist()
+        free_layout(layout)
         raise
     return layout
+
+
+def _checkpoint(layout: DataFrame):
+    """The JVM RDD of checkpointed rows that a layout's plan reads."""
+    return layout._jdf.queryExecution().analyzed().rdd()
+
+
+def free_layout(layout: DataFrame) -> None:
+    """Free a partitioner's layout: drop its checkpointed rows from the
+    block managers (``unpersist()`` does not free a checkpoint). Scans of
+    the layout raise afterwards."""
+    _checkpoint(layout).unpersist(True)
 
 
 def cut_index(col: Column, cuts) -> Column:
@@ -105,8 +121,8 @@ def equally_split(
 
     The contiguous split is ``ntile(n_chunks)`` over ``id`` (ids must be
     unique), computed once here: the driver sorts the ids and turns the
-    chunk boundaries into cut ids. The layout is built once and cached
-    in the session (memory and disk); ``unpersist()`` frees it."""
+    chunk boundaries into cut ids. The layout is built once and held as
+    a local checkpoint (memory and disk); ``free_layout`` frees it."""
     if shuffle:
         check_n_chunks(n_chunks, df.count())
         chunk = F.pmod(F.xxhash64(F.col("id"), F.lit(seed)), F.lit(n_chunks))
@@ -205,9 +221,9 @@ def density_aware(df: DataFrame, n_chunks: int) -> DataFrame:
     """DENSITY-AWARE partitioning (paper §3.4.1, Gray-code buffer order),
     with ``plan_buffer_assignment``'s λ and tolerance.
 
-    The layout is built once and cached in the session (memory and disk),
-    so the buffer UDF, join and window run once, not per pass;
-    ``unpersist()`` frees it. Series that differ in length raise
+    The layout is built once and held as a local checkpoint (memory and
+    disk), so the buffer UDF, join and window run once, not per pass;
+    ``free_layout`` frees it. Series that differ in length raise
     ``ValueError``."""
     df = df.withColumn("buffer", isax_word_col(BUFFER_BITS))
     counts = to_pandas(df.groupBy("buffer").count())

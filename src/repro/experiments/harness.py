@@ -21,7 +21,7 @@ from ..baselines.dmessi import dmessi_search, dmessi_swbsf_search
 from ..baselines.dpisax import dpisax_partition
 from ..core.search import N_THREADS
 from ..distributed.engine import DistResult, build_only, distributed_search
-from ..distributed.partitioning import density_aware, equally_split
+from ..distributed.partitioning import density_aware, equally_split, free_layout
 from ..distributed.replication import ReplicationConfig, supported_degrees
 from ..scheduling.predictor import LinearPredictor, fit_predictor
 from ..scheduling.schedulers import (
@@ -53,9 +53,9 @@ def chunked_df(
 ):
     """Series DataFrame with a chunk assignment under the given scheme.
 
-    The partitioners cache the layout they build; it is unpersisted when
-    the ``with`` block ends, so a sweep holds one configuration's layouts
-    at a time."""
+    The partitioners hold the layout they build as a local checkpoint; it
+    is freed (``free_layout``) when the ``with`` block ends, so a sweep
+    holds one configuration's layouts at a time."""
     df = series_df(spark, data)
     if scheme == "equal":
         cdf = equally_split(df, n_chunks)
@@ -68,7 +68,7 @@ def chunked_df(
     try:
         yield cdf
     finally:
-        cdf.unpersist()
+        free_layout(cdf)
 
 
 def fit_chunk_predictors(train: DistResult) -> dict[int, LinearPredictor]:

@@ -8,6 +8,7 @@ operate in the same metric space.
 """
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 from pyspark.sql import DataFrame, SparkSession
 
 from .core.paa import znorm
@@ -92,12 +93,18 @@ def make_queries_np(
 
 
 def series_df(spark: SparkSession, data: np.ndarray, ids: np.ndarray | None = None) -> DataFrame:
-    """Spark DataFrame ``(id: long, series: array<double>)`` for a series set."""
+    """Spark DataFrame ``(id: long, series: array<double>)`` for a series set.
+
+    Built from an Arrow table whose list column is the matrix's flat values
+    and row offsets, without a Python object per series."""
     data = np.asarray(data, dtype=np.float64)
+    n, length = data.shape
     if ids is None:
-        ids = np.arange(len(data))
-    pdf = pd.DataFrame({"id": np.asarray(ids, dtype=np.int64), "series": list(data)})
-    return spark.createDataFrame(pdf)
+        ids = np.arange(n)
+    offsets = pa.array(np.arange(n + 1) * length, type=pa.int32())
+    series = pa.ListArray.from_arrays(offsets, pa.array(data.ravel()))
+    table = pa.table({"id": pa.array(np.asarray(ids, dtype=np.int64)), "series": series})
+    return spark.createDataFrame(table)
 
 
 def series_long_pdf(data: np.ndarray, ids: np.ndarray | None = None, *, id_col: str = "id") -> pd.DataFrame:

@@ -6,7 +6,7 @@ import pytest
 from repro.baselines.dmessi import dmessi_search, dmessi_swbsf_search
 from repro.baselines.dpisax import WORD_BITS, dpisax_partition
 from repro.distributed.engine import distributed_search
-from repro.distributed.partitioning import equally_split, isax_words_np
+from repro.distributed.partitioning import equally_split, free_layout, isax_words_np
 from repro.synth_data import (
     clustered_walks_np,
     make_queries_np,
@@ -123,7 +123,7 @@ def test_dpisax_cuts_do_not_depend_on_input_partitions(setup):
     for n_parts in (1, 7):
         layout = dpisax_partition(df.repartition(n_parts), 4)
         pdf = layout.select("id", "chunk_id").toPandas()
-        layout.unpersist()
+        free_layout(layout)
         assignments.append(pdf.sort_values("id").reset_index(drop=True))
     assert assignments[0]["chunk_id"].nunique() == 4
     pd.testing.assert_frame_equal(*assignments)

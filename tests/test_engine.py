@@ -18,7 +18,7 @@ from repro.core.index import build_index
 from repro.core.isax import W
 from repro.distributed import engine
 from repro.distributed.engine import build_only, chunk_search, distributed_search
-from repro.distributed.partitioning import density_aware, equally_split
+from repro.distributed.partitioning import density_aware, equally_split, free_layout
 from repro.distributed.replication import ReplicationConfig
 from repro.experiments.harness import chunk_predictions, fit_chunk_predictors
 from repro.scheduling.schedulers import ALL_POLICIES
@@ -333,7 +333,7 @@ def test_layout_build_drops_zip_finders(spark, setup):
     try:
         counts = engine._chunk_scan(chunked, _zip_finders, ZIP_PROBE).toPandas()
     finally:
-        chunked.unpersist()
+        free_layout(chunked)
     assert sorted(counts["chunk_id"]) == [0, 1, 2]
     assert (counts["n_zip"] == 0).all(), counts
 
@@ -410,7 +410,7 @@ def test_k_up_to_the_number_of_series(spark, setup, share_bsf, one_chunk):
         with pytest.raises(ValueError, match=r"^k=11 exceeds the number of series \(10\)$"):
             distributed_search(chunked, queries[:3], k=11, share_bsf=share_bsf)
     finally:
-        chunked.unpersist()
+        free_layout(chunked)
 
 
 def _step_series(levels: np.ndarray) -> np.ndarray:
@@ -426,7 +426,7 @@ def steps(spark):
     data = _step_series(rng.integers(-2, 3, size=(2000, W)))
     chunked = equally_split(series_df(spark, data), 2)
     yield data, chunked
-    chunked.unpersist()
+    free_layout(chunked)
 
 
 @pytest.mark.parametrize("share_bsf", [True, False])
@@ -472,7 +472,7 @@ def mirrored(spark):
     data = np.vstack([base, base[::-1]])
     chunked = equally_split(series_df(spark, data), 4)
     yield data, base, chunked
-    chunked.unpersist()
+    free_layout(chunked)
 
 
 @pytest.mark.parametrize("share_bsf", [True, False])
@@ -506,7 +506,7 @@ def test_layout_with_empty_chunks(spark):
         assert sizes.tolist() == [8, 0, 0, 0]
         res = distributed_search(chunked, queries)
     finally:
-        chunked.unpersist()
+        free_layout(chunked)
     assert_equivalent(
         spark.createDataFrame(res.answers),
         NN_SQL,
@@ -594,10 +594,9 @@ def test_more_chunks_than_series_rejected(setup, scheme):
         PARTITIONERS[scheme](df, N + 1)
 
 
-def _plan_above_cache(plan) -> list[str]:
-    """Node names of a physical plan down to its cache scans. Adaptive
-    plans and query stages are unwrapped; a cache scan's own cached plan
-    (an inner child, built once) is not visited."""
+def _plan_names(plan) -> list[str]:
+    """Node names of a physical plan; adaptive plans and query stages are
+    unwrapped."""
     names, todo = [], [plan]
     while todo:
         node = todo.pop()
@@ -617,47 +616,62 @@ def _plan_above_cache(plan) -> list[str]:
 @pytest.mark.parametrize("n_chunks", [1, 3, 4])
 @pytest.mark.parametrize("scheme", sorted(PARTITIONERS))
 def test_grouped_scan_reads_cached_layout(spark, setup, scheme, n_chunks):
-    """The partitioners build their layout once: the scan is one Arrow map
-    over the cache, and neither the layout's shuffle nor its local scan nor
-    a partitioner UDF runs again, and no grouping sorts the chunk, before
-    adaptive execution or after it."""
+    """The partitioners build their layout once, as a local checkpoint:
+    the layout's plan is one ``LogicalRDD`` over checkpointed rows, and
+    the scan is one Arrow map over that RDD, before adaptive execution or
+    after it, and chunk ``c`` is read alone in partition ``c``. Neither the layout's shuffle nor the local scan of the input
+    (whose data would ride in every task) nor a partitioner UDF runs
+    again, no columnar cache is decoded and no grouping sorts the chunk."""
     data, queries, *_ = setup
-    df = series_df(spark, data[1:])  # a layout no other test has cached
+    df = series_df(spark, data[1:])
     worker = engine._make_worker(
         queries[:1], approx_only=True, seeds=None, algorithm="odyssey",
         distance="ed", warp=0.05, k=1,
     )
-    scan = engine._chunk_scan(
-        PARTITIONERS[scheme](df, n_chunks), worker, engine.RESULT_SCHEMA
-    )
-    for run in (False, True):
-        if run:
-            assert scan.toPandas()["chunk_id"].nunique() == n_chunks
-        names = _plan_above_cache(scan._jdf.queryExecution().executedPlan())
-        assert "InMemoryTableScan" in names
-        assert "MapInArrow" in names
-        for node in (
-            "ArrowEvalPython", "LocalTableScan", "Exchange", "Sort",
-            "FlatMapGroupsInPandas",
-        ):
-            assert node not in names, (node, names)
+    layout = PARTITIONERS[scheme](df, n_chunks)
+    try:
+        analyzed = layout._jdf.queryExecution().analyzed()
+        assert analyzed.nodeName() == "LogicalRDD"
+        assert analyzed.rdd().isCheckpointed()
+        scan = engine._chunk_scan(layout, worker, engine.RESULT_SCHEMA)
+        for run in (False, True):
+            if run:
+                got = scan.toPandas()
+                assert got["chunk_id"].nunique() == n_chunks
+                assert (got["chunk_id"] == got["partition_id"]).all(), got
+            names = _plan_names(scan._jdf.queryExecution().executedPlan())
+            assert names[-1] == "Scan ExistingRDD", names
+            assert "MapInArrow" in names
+            for node in (
+                "InMemoryTableScan", "ArrowEvalPython", "LocalTableScan",
+                "Exchange", "Sort", "FlatMapGroupsInPandas",
+            ):
+                assert node not in names, (node, names)
+    finally:
+        free_layout(layout)
 
 
 def test_layout_is_cached_once(spark, setup):
-    """A partitioner returns a built, cached layout; unpersist frees it.
-    The same layout built again shares that cache."""
-    data, *_ = setup
-    df = series_df(spark, data[2:])  # a layout no other test has cached
+    """A partitioner returns a built layout, one more persistent RDD; two
+    builds of the same data are independent, so freeing one leaves the
+    other answering. ``free_layout`` returns the count to its start, and a
+    freed layout's scan raises instead of building the layout again."""
+    data, queries, *_ = setup
+    df = series_df(spark, data[2:])
     persistent = spark.sparkContext._jsc.getPersistentRDDs
     before = persistent().size()
     chunked = density_aware(df, 3)
-    assert chunked.is_cached
     assert persistent().size() == before + 1
     again = density_aware(df, 3)
+    assert persistent().size() == before + 2
+    free_layout(chunked)
     assert persistent().size() == before + 1
-    chunked.unpersist()
-    assert persistent().size() == before
     assert again.select("chunk_id").distinct().count() == 3
+    assert len(distributed_search(again, queries[:2]).answers) == 2
+    free_layout(again)
+    assert persistent().size() == before
+    with pytest.raises(Exception, match="CHECKPOINT_RDD_BLOCK_ID_NOT_FOUND"):
+        distributed_search(again, queries[:2])
 
 
 BAD_QUERIES = {
@@ -688,7 +702,7 @@ def test_bad_queries_rejected_before_any_job(spark, setup, bad, k):
         assert sc.statusTracker().getJobIdsForGroup(group) == []
     finally:
         sc.setLocalProperty("spark.jobGroup.id", None)
-        chunked.unpersist()
+        free_layout(chunked)
 
 
 
@@ -723,7 +737,7 @@ def test_bad_series_rejected(spark, setup, series, message):
     """Ragged or non-finite series are reported as a ValueError naming the
     chunk when the partitioner builds the layout, not answered as if they
     were data (a NaN row is never returned) or misaligned by the reshape;
-    the failed build leaves nothing cached."""
+    the failed build leaves nothing checkpointed."""
     data, *_ = setup
     frame = _bad_series_df(spark, data, series)
     persistent = spark.sparkContext._jsc.getPersistentRDDs
@@ -736,7 +750,7 @@ def test_bad_series_rejected(spark, setup, series, message):
 def test_length_not_divisible_by_w_rejected(spark):
     """Series whose length the index's ``w`` segments do not divide are a
     ValueError naming the chunk when the partitioner builds the layout; the
-    failed build leaves nothing cached."""
+    failed build leaves nothing checkpointed."""
     frame = series_df(spark, random_walk_np(40, 30, seed=1))
     persistent = spark.sparkContext._jsc.getPersistentRDDs
     before = set(persistent().keys())
@@ -757,7 +771,7 @@ def test_ragged_series_rejected_by_every_partitioner(spark, setup, scheme):
         try:
             distributed_search(chunked, queries[:1])
         finally:
-            chunked.unpersist()
+            free_layout(chunked)
 
 
 @pytest.mark.parametrize("share_bsf, one_chunk", SHARING)
@@ -775,7 +789,7 @@ def test_wrong_query_length_rejected(spark, share_bsf, one_chunk, length):
         ):
             distributed_search(chunked, queries, share_bsf=share_bsf)
     finally:
-        chunked.unpersist()
+        free_layout(chunked)
 
 
 def test_chunk_split_over_partitions_rejected(setup):

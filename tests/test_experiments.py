@@ -202,9 +202,9 @@ def test_dtw_experiment_shape(spark):
 
 
 def test_harness_frees_its_layouts(spark):
-    """Every harness function unpersists the layouts it caches: after a
+    """Every harness function frees the layouts it checkpoints: after a
     search sweep over all three schemes and a build sweep, the session
-    holds no more cached RDDs than before."""
+    holds no more persistent RDDs than before."""
     persistent = spark.sparkContext._jsc.getPersistentRDDs
     before = persistent().size()
     competitors(spark, n_nodes=2, n_queries=3, n_train=4, n_series=200, seed=7)

@@ -8,6 +8,7 @@ from repro.synth_data import (
     clustered_walks_np,
     make_queries_np,
     random_walk_np,
+    series_df,
     series_long_pdf,
 )
 
@@ -61,6 +62,30 @@ def test_make_queries_deterministic():
     q1, _ = make_queries_np(data, 10, seed=9)
     q2, _ = make_queries_np(data, 10, seed=9)
     np.testing.assert_array_equal(q1, q2)
+
+
+def _pandas_series_df(spark, data, ids):
+    """The frame ``series_df`` builds, made from a pandas column of one
+    array per series."""
+    pdf = pd.DataFrame({"id": np.asarray(ids, dtype=np.int64), "series": list(data)})
+    return spark.createDataFrame(pdf)
+
+
+@pytest.mark.parametrize("ids", [None, "explicit"])
+def test_series_df_matches_pandas_frame(spark, ids):
+    """``series_df`` builds the frame a pandas column of arrays gives: the
+    same schema, partitions and rows in order, from a matrix that is not
+    C-contiguous and over more than one Arrow batch."""
+    data = random_walk_np(64, 12_000, seed=3).T[:, :32]
+    row_ids = np.arange(len(data)) * 7 - 5 if ids else np.arange(len(data))
+    got = series_df(spark, data, None if ids is None else row_ids)
+    want = _pandas_series_df(spark, data, row_ids)
+    assert got.schema == want.schema
+    assert got.rdd.getNumPartitions() == want.rdd.getNumPartitions() > 1
+    g, w = got.toPandas(), want.toPandas()
+    np.testing.assert_array_equal(g["id"], w["id"])
+    np.testing.assert_array_equal(np.stack(g["series"]), np.stack(w["series"]))
+    np.testing.assert_array_equal(np.stack(g["series"]), data)
 
 
 def test_series_long_pdf_roundtrip():
